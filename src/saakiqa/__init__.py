@@ -38,7 +38,6 @@ from .harness import (
     synth_distort,
 )
 from .image import (
-    FilterSpec,
     crop_to_multiple,
     gaussian_filter,
     read_pgm,
@@ -49,7 +48,6 @@ from .metric import (
     assess,
     channel_stats,
     quality_from_stats,
-    reference_energy_spectrum,
 )
 from .saak import (
     SaakModel,
@@ -72,7 +70,6 @@ from .stats import (
     logistic5_eval,
     logistic5_fit,
     pearson,
-    plcc_after_regression,
     psnr,
     rankdata,
     spearman,
@@ -82,7 +79,6 @@ __all__ = [
     "__version__",
     "CODEC_LAMBDAS",
     "QualityConfig",
-    "FilterSpec",
     "ChannelStats",
     "SaakModel",
     "SaakStage",
@@ -109,7 +105,6 @@ __all__ = [
     "channel_stats",
     "quality_from_stats",
     "assess",
-    "reference_energy_spectrum",
     "pearson",
     "spearman",
     "kendall_tau_b",
@@ -117,7 +112,6 @@ __all__ = [
     "psnr",
     "logistic5_eval",
     "logistic5_fit",
-    "plcc_after_regression",
     "parse_manifest",
     "run_eval",
     "synth_distort",

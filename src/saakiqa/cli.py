@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from ._version import __version__
 from .config import QualityConfig
 from .errors import SaakIqaError
 from .harness import emit_report, parse_manifest, run_eval, synth_distort
-from .image import FilterSpec, crop_to_multiple, read_pgm, write_pgm
+from .image import crop_to_multiple, read_pgm, write_pgm
 from .metric import assess
 
 
@@ -39,8 +38,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"{text} is not a positive finite number")
     return value
 
 
@@ -84,13 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _base_config(sigma: float | None) -> QualityConfig:
-    if sigma is None:
-        return QualityConfig()
-    radius = max(1, math.ceil(3.0 * sigma))
-    return QualityConfig(filter=FilterSpec(sigma=sigma, radius=radius))
-
-
 def _do_score(args) -> int:
     config = QualityConfig.for_codec(args.codec, **({} if args.lam is None
                                                     else {"lam": args.lam}))
@@ -117,8 +109,9 @@ def _do_score(args) -> int:
 
 
 def _do_eval(args) -> int:
+    config = QualityConfig() if args.sigma is None else QualityConfig(sigma=args.sigma)
     records = parse_manifest(args.manifest)
-    report = run_eval(records, _base_config(args.sigma), lam_override=args.lam)
+    report = run_eval(records, config, lam_override=args.lam)
     emit_report(report, json_path=args.out, csv_path=args.csv,
                 scatter_path=args.scatter)
     for warning in report.warnings:

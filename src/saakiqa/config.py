@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
-from .image import FilterSpec
+from .image import filter_radius
 
 # Blend factor tuned per codec family: blockiness (jpeg) favors the MSE
 # term, ringing (jpeg2000) the correlation term.
@@ -17,15 +17,18 @@ class QualityConfig:
 
     ``lam`` is the MSE/correlation blend weight in [0, 1]; ``c`` scales the
     weighted-MSE exponential; ``h`` scales the energy-driven channel
-    weights. The remaining fields control the learned transform: block
-    geometry, stage count, stage-1 training stride, and the texture
-    threshold on patch standard deviation.
+    weights. ``sigma`` is the standard deviation of the Gaussian
+    pre-filter, which must be positive and finite; its window radius is
+    ``ceil(3 * sigma)`` and its borders are always reflected. The remaining
+    fields control the learned transform: block geometry, stage count,
+    stage-1 training stride, and the texture threshold on patch standard
+    deviation.
     """
 
     lam: float = CODEC_LAMBDAS["jpeg"]
     c: float = 400.0
     h: float = 100.0
-    filter: FilterSpec = field(default_factory=FilterSpec)
+    sigma: float = 1.0
     block_size: int = 4
     num_stages: int = 2
     train_stride: int = 2
@@ -40,6 +43,7 @@ class QualityConfig:
             raise ValueError("block_size, num_stages and train_stride must be >= 1")
         if self.std_threshold < 0:
             raise ValueError("std_threshold must be non-negative")
+        filter_radius(self.sigma)  # raises unless sigma is positive and finite
 
     @classmethod
     def for_codec(cls, codec: str, **overrides) -> "QualityConfig":
@@ -56,6 +60,3 @@ class QualityConfig:
                     f"no default lambda for codec {codec!r}; pass lam explicitly"
                 ) from None
         return cls(**overrides)
-
-    def with_overrides(self, **changes) -> "QualityConfig":
-        return replace(self, **changes)

@@ -2,10 +2,11 @@
 report emission, and a synthetic block-DCT distorter for self-contained
 testing.
 
-A manifest is UTF-8 CSV with header ``ref,dist,mos,codec``; image paths
-resolve relative to the manifest's directory. Records are scored
-independently (a bounded thread pool, capped by ``SAAKIQA_THREADS``), and
-row failures are recorded without aborting the batch.
+A manifest is UTF-8 CSV (a leading byte-order mark is allowed) with header
+``ref,dist,mos,codec``; image paths resolve relative to the manifest's
+directory. Records are scored independently (a bounded thread pool,
+capped by ``SAAKIQA_THREADS``), and row failures are recorded without
+aborting the batch.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     NoValidRecordsError,
     SaakIqaError,
 )
-from .image import as_image, read_pgm
+from .image import as_image, filter_radius, read_pgm
 from .metric import assess
 from .stats import kendall_tau_b, logistic5_eval, logistic5_fit, pearson, psnr, spearman
 
@@ -131,7 +132,7 @@ def parse_manifest(path) -> list[EvalRecord]:
     """
     base = os.path.dirname(os.path.abspath(path))
     records = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header_seen = False
         for row in reader:
@@ -197,7 +198,7 @@ def _score_record(record: EvalRecord, config: QualityConfig,
         ref = read_pgm(record.ref_path)
         dist = read_pgm(record.dist_path)
         psnr_db = psnr(ref, dist)
-        score, _ = assess(ref, dist, config.with_overrides(lam=lam))
+        score, _ = assess(ref, dist, replace(config, lam=lam))
         return RecordResult(record, score=score, psnr_db=psnr_db)
     except (SaakIqaError, OSError, ValueError) as exc:
         return RecordResult(record, error=f"{type(exc).__name__}: {exc}")
@@ -230,10 +231,12 @@ def run_eval(records: list[EvalRecord], config: QualityConfig | None = None,
 
     The blend factor resolves as CLI override > per-codec default > row
     error for codec ``other``. Per-record failures become row-level error
-    entries; :class:`NoValidRecordsError` is raised only when nothing at
-    all could be scored. Output order follows the input order regardless
-    of worker scheduling.
+    entries; :class:`NoValidRecordsError` is raised only when there are no
+    records or nothing at all could be scored. Output order follows the
+    input order regardless of worker scheduling.
     """
+    if not records:
+        raise NoValidRecordsError("manifest has no records")
     config = config or QualityConfig()
     workers = _worker_count(len(records))
     if workers > 1:
@@ -269,9 +272,9 @@ def _config_echo(config: QualityConfig, lam_override: float | None) -> dict:
         "codec_lambdas": dict(CODEC_LAMBDAS),
         "c": config.c,
         "h": config.h,
-        "sigma": config.filter.sigma,
-        "radius": config.filter.radius,
-        "border": config.filter.border,
+        "sigma": config.sigma,
+        "radius": filter_radius(config.sigma),
+        "border": "reflect",
         "block_size": config.block_size,
         "num_stages": config.num_stages,
         "train_stride": config.train_stride,

@@ -8,7 +8,6 @@ rescaling or normalization happens anywhere in the pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,34 +19,6 @@ from .errors import (
 )
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Separable Gaussian low-pass filter specification.
-
-    ``radius`` is the half-width of the sampled window, so the kernel has
-    ``2 * radius + 1`` taps per axis. The window must cover at least three
-    standard deviations; taps are normalized to sum to one.
-    """
-
-    sigma: float = 1.0
-    radius: int = 3
-    border: str = "reflect"
-
-    def __post_init__(self):
-        if not (self.sigma > 0):
-            raise ValueError("sigma must be positive")
-        if self.radius < math.ceil(3.0 * self.sigma):
-            raise ValueError("radius must be at least ceil(3*sigma)")
-        if self.border != "reflect":
-            raise ValueError("only 'reflect' border handling is supported")
-
-    def kernel(self) -> np.ndarray:
-        """Return the normalized 1-D taps, offsets -radius..radius."""
-        x = np.arange(-self.radius, self.radius + 1, dtype=np.float64)
-        k = np.exp(-(x * x) / (2.0 * self.sigma * self.sigma))
-        return k / k.sum()
 
 
 def as_image(data) -> np.ndarray:
@@ -202,13 +173,30 @@ def _filter_axis(img: np.ndarray, taps: np.ndarray, radius: int, axis: int) -> n
     return out
 
 
-def gaussian_filter(img, spec: FilterSpec) -> np.ndarray:
+def filter_radius(sigma: float) -> int:
+    """Half-width of the Gaussian window: ``ceil(3 * sigma)``.
+
+    The window covers three standard deviations on each side. Raises
+    ``ValueError`` unless sigma is positive and the window is finite.
+    """
+    reach = 3.0 * sigma
+    if not 0.0 < reach < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    return math.ceil(reach)
+
+
+def gaussian_filter(img, sigma: float) -> np.ndarray:
     """Separable 2-D Gaussian convolution with reflected borders.
 
-    Border samples are mirrored edge-inclusively, so constant images are
-    exact fixed points and output dimensions equal input dimensions.
+    Taps are sampled at offsets ``-r..r`` with ``r = filter_radius(sigma)``
+    and normalized to sum to one. Border samples are mirrored
+    edge-inclusively, so constant images are exact fixed points and output
+    dimensions equal input dimensions.
     """
     img = as_image(img)
-    taps = spec.kernel()
-    out = _filter_axis(img, taps, spec.radius, axis=0)
-    return _filter_axis(out, taps, spec.radius, axis=1)
+    radius = filter_radius(sigma)
+    x = np.arange(-radius, radius + 1, dtype=np.float64)
+    taps = np.exp(-(x * x) / (2.0 * sigma * sigma))
+    taps /= taps.sum()
+    out = _filter_axis(img, taps, radius, axis=0)
+    return _filter_axis(out, taps, radius, axis=1)

@@ -22,7 +22,7 @@ from .errors import (
     GeometryMismatchError,
 )
 from .image import as_image, crop_to_multiple, gaussian_filter
-from .saak import energy_spectrum, forward, train_model
+from .saak import forward, train_model
 
 # Spatial maps with population variance below this count as constant for
 # the correlation term.
@@ -43,10 +43,6 @@ class ChannelStats:
     correlation: np.ndarray
     energy: np.ndarray
     weight: np.ndarray
-
-    @property
-    def num_channels(self) -> int:
-        return self.mse.shape[0]
 
     @property
     def weighted_mse(self) -> float:
@@ -147,24 +143,11 @@ def assess(ref, dist, config: QualityConfig | None = None) -> tuple[float, Chann
             f"reference {ref.shape} vs distorted {dist.shape}")
 
     tile = config.block_size ** config.num_stages
-    ref = gaussian_filter(crop_to_multiple(ref, tile), config.filter)
-    dist = gaussian_filter(crop_to_multiple(dist, tile), config.filter)
+    ref = gaussian_filter(crop_to_multiple(ref, tile), config.sigma)
+    dist = gaussian_filter(crop_to_multiple(dist, tile), config.sigma)
 
     model = train_model(ref, config)
     f_ref = forward(ref, model)
     f_dist = forward(dist, model)
     stats = channel_stats(f_ref, f_dist, config.h)
     return quality_from_stats(stats, config.lam, config.c), stats
-
-
-def reference_energy_spectrum(ref, config: QualityConfig | None = None) -> np.ndarray:
-    """Energy per spectral channel of a reference image's own features.
-
-    Convenience for inspecting energy compaction of a trained transform.
-    """
-    config = config or QualityConfig()
-    ref = as_image(ref)
-    tile = config.block_size ** config.num_stages
-    ref = gaussian_filter(crop_to_multiple(ref, tile), config.filter)
-    model = train_model(ref, config)
-    return energy_spectrum(forward(ref, model))

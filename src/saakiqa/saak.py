@@ -59,19 +59,6 @@ class SaakStage:
     def dim(self) -> int:
         return self.block_size * self.block_size * self.input_channels
 
-    @property
-    def dc_kernel(self) -> np.ndarray:
-        return self.kernels[0]
-
-    @property
-    def ac_kernels(self) -> np.ndarray:
-        return self.kernels[1:]
-
-    @property
-    def output_channels(self) -> int:
-        """Channels fed to the next stage after S/P conversion."""
-        return 1 + 2 * (self.dim - 1)
-
 
 @dataclass(frozen=True)
 class SaakModel:
@@ -83,10 +70,6 @@ class SaakModel:
     @property
     def num_stages(self) -> int:
         return len(self.stages)
-
-    @property
-    def output_channels(self) -> int:
-        return self.stages[-1].dim
 
     @property
     def spatial_factor(self) -> int:

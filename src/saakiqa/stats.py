@@ -247,9 +247,3 @@ def logistic5_fit(scores, mos) -> LogisticFit:
     beta = np.array([coef[0], best[0], best[1], coef[1], coef[2]])
     return LogisticFit(beta=beta, sse=sse, converged=converged,
                        iterations=total_iter)
-
-
-def plcc_after_regression(scores, mos) -> float:
-    """Pearson correlation between MOS and the fitted-curve predictions."""
-    fit = logistic5_fit(scores, mos)
-    return pearson(logistic5_eval(fit.beta, scores), mos)

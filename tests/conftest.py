@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from saakiqa import FilterSpec, gaussian_filter
+from saakiqa import gaussian_filter
 
 
 def make_textured_image(seed: int, height: int = 128, width: int = 128) -> np.ndarray:
@@ -14,7 +14,7 @@ def make_textured_image(seed: int, height: int = 128, width: int = 128) -> np.nd
     """
     rng = np.random.default_rng(seed)
     base = rng.uniform(0.0, 1.0, (height, width))
-    smooth = gaussian_filter(base, FilterSpec(sigma=3.0, radius=9))
+    smooth = gaussian_filter(base, 3.0)
     smooth = (smooth - smooth.min()) / (smooth.max() - smooth.min())
     img = 20.0 + 215.0 * smooth + rng.normal(0.0, 4.0, (height, width))
     return np.clip(np.rint(img), 0.0, 255.0)

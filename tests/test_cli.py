@@ -77,8 +77,9 @@ class TestDistort:
         assert read_pgm(dst).shape == (64, 64)
 
     def test_negative_qstep_is_usage_error(self, tmp_path):
-        assert cli_main(["distort", "--in", "x", "--out", "y",
-                         "--qstep", "-4"]) == 1
+        for qstep in ("-4", "inf"):
+            assert cli_main(["distort", "--in", "x", "--out", "y",
+                             "--qstep", qstep]) == 1
 
 
 class TestEval:
@@ -133,6 +134,14 @@ class TestEval:
         s0 = payloads[0]["records"][0]["score"]
         s1 = payloads[1]["records"][0]["score"]
         assert s0 != s1
+
+    def test_nonfinite_sigma_is_usage_error(self, small_manifest, capsys):
+        for sigma in ("inf", "1e400", "nan", "0"):
+            assert cli_main(["eval", "--manifest", str(small_manifest),
+                             "--sigma", sigma]) == 1
+            err = capsys.readouterr().err
+            assert "not a positive finite number" in err
+            assert "Traceback" not in err
 
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
         assert cli_main(["eval", "--manifest", str(tmp_path / "no.csv")]) == 2

@@ -90,6 +90,14 @@ class TestParseManifest:
         with pytest.raises(MalformedRowError):
             parse_manifest(p)
 
+    def test_byte_order_mark_header(self, tmp_path):
+        # Spreadsheet exports often start UTF-8 CSV with a byte-order mark.
+        p = tmp_path / "m.csv"
+        p.write_text("ref,dist,mos,codec\na.pgm,b.pgm,1.5,jpeg\n",
+                     encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_manifest(p)[0].mos == 1.5
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_manifest(tmp_path / "nope.csv")
@@ -208,8 +216,12 @@ class TestRunEval:
 
     def test_no_valid_records(self, tmp_path):
         rows = [("missing1.pgm", "missing2.pgm", 1.0, "jpeg")]
-        with pytest.raises(NoValidRecordsError):
+        with pytest.raises(NoValidRecordsError, match="every record failed"):
             run_eval(parse_manifest(_write_manifest(tmp_path, rows)))
+
+    def test_header_only_manifest(self, tmp_path):
+        with pytest.raises(NoValidRecordsError, match="manifest has no records"):
+            run_eval(parse_manifest(_write_manifest(tmp_path, [])))
 
     def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch):
         ref = make_textured_image(62, 64, 64)

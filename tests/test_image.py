@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from saakiqa import (
-    FilterSpec,
     ImageTooSmallError,
     MalformedHeaderError,
+    QualityConfig,
     TruncatedDataError,
     UnsupportedMaxvalError,
     crop_to_multiple,
@@ -14,6 +14,7 @@ from saakiqa import (
     read_pgm,
     write_pgm,
 )
+from saakiqa.image import filter_radius
 
 
 def _write(tmp_path, name, payload: bytes):
@@ -104,26 +105,45 @@ class TestCropToMultiple:
         np.testing.assert_array_equal(crop_to_multiple(once, 8), once)
 
 
+def _impulse_response(sigma, size=31):
+    img = np.zeros((size, size))
+    img[size // 2, size // 2] = 1.0
+    return gaussian_filter(img, sigma)
+
+
 class TestFilterSpec:
+    # The filter is specified by sigma alone: radius ceil(3*sigma),
+    # reflected borders.
     def test_kernel_normalized_and_nonnegative(self):
-        k = FilterSpec(sigma=1.0, radius=3).kernel()
-        assert k.shape == (7,)
-        assert np.all(k >= 0)
-        assert abs(k.sum() - 1.0) <= 1e-12
+        out = _impulse_response(1.0)
+        support = np.argwhere(out > 0)
+        assert support.min(axis=0).tolist() == [12, 12]
+        assert support.max(axis=0).tolist() == [18, 18]
+        assert np.all(out >= 0)
+        assert abs(out.sum() - 1.0) <= 1e-12
 
     def test_radius_floor(self):
-        with pytest.raises(ValueError):
-            FilterSpec(sigma=2.0, radius=5)
+        for sigma, radius in ((0.1, 1), (0.5, 2), (1.0, 3), (2.0, 6), (3.0, 9)):
+            assert filter_radius(sigma) == radius
+            support = np.flatnonzero(_impulse_response(sigma).sum(axis=0))
+            assert support.size == 2 * radius + 1
+        # No finite window reaches 3 sigma.
+        for sigma in (math.inf, 1e308):
+            with pytest.raises(ValueError):
+                filter_radius(sigma)
 
     def test_bad_sigma(self):
-        with pytest.raises(ValueError):
-            FilterSpec(sigma=0.0, radius=3)
+        for sigma in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                gaussian_filter(np.zeros((4, 4)), sigma)
+            with pytest.raises(ValueError):
+                QualityConfig(sigma=sigma)
 
 
 class TestGaussianFilter:
     def test_constant_fixed_point(self):
         img = np.full((20, 20), 100.0)
-        out = gaussian_filter(img, FilterSpec())
+        out = gaussian_filter(img, 1.0)
         np.testing.assert_allclose(out, 100.0, atol=1e-12)
 
     def test_impulse_matches_sampled_kernel(self):
@@ -136,17 +156,16 @@ class TestGaussianFilter:
         g2 = np.exp(-(dx[:, None] ** 2 + dx[None, :] ** 2) / (2 * sigma ** 2))
         expected = np.zeros_like(img)
         expected[4:11, 4:11] = 255.0 * g2 / g2.sum()
-        out = gaussian_filter(img, FilterSpec(sigma=sigma, radius=radius))
+        out = gaussian_filter(img, sigma)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_double_filter_equals_composed_kernel(self):
         # Oracle: explicit convolution with reflected indexing, applied with
         # the self-convolved tap set in one pass.
-        spec = FilterSpec(sigma=1.0, radius=3)
         img = np.zeros((12, 11))
         img[:, 1::2] = 255.0
         img[3:6, 4:9] += 17.0
-        twice = gaussian_filter(gaussian_filter(img, spec), spec)
+        twice = gaussian_filter(gaussian_filter(img, 1.0), 1.0)
 
         def reflect(i, n):
             period = 2 * n
@@ -166,22 +185,24 @@ class TestGaussianFilter:
                 out[tuple(idx)] = acc
             return out
 
-        taps = spec.kernel()
+        dx = np.arange(-3, 4)
+        taps = np.exp(-dx ** 2 / 2.0)
+        taps /= taps.sum()
         taps2 = np.convolve(taps, taps)
         composed = conv_axis(conv_axis(img, taps2, 6, 0), taps2, 6, 1)
         np.testing.assert_allclose(twice, composed, atol=1e-9)
 
     def test_preserves_shape(self):
         img = np.arange(30.0).reshape(5, 6)
-        assert gaussian_filter(img, FilterSpec()).shape == (5, 6)
+        assert gaussian_filter(img, 1.0).shape == (5, 6)
 
     def test_single_pixel(self):
-        out = gaussian_filter(np.array([[42.0]]), FilterSpec())
+        out = gaussian_filter(np.array([[42.0]]), 1.0)
         np.testing.assert_allclose(out, 42.0, atol=1e-12)
 
     def test_row_mean_preserved_for_constant_columns(self):
         # Columns constant: vertical pass is exact; horizontal reflection
         # keeps the global mean of a symmetric pattern.
         img = np.tile(np.array([[10.0, 30.0, 30.0, 10.0]]), (8, 1))
-        out = gaussian_filter(img, FilterSpec())
+        out = gaussian_filter(img, 1.0)
         assert math.isclose(out.mean(), img.mean(), rel_tol=1e-12)

@@ -10,9 +10,12 @@ from saakiqa import (
     QualityConfig,
     assess,
     channel_stats,
+    energy_spectrum,
+    forward,
+    gaussian_filter,
     quality_from_stats,
-    reference_energy_spectrum,
     synth_distort,
+    train_model,
 )
 
 
@@ -171,22 +174,33 @@ class TestAssess:
 
     def test_distortion_regression_lock(self, textured_image):
         # Strict decrease with quantization strength, plus frozen scores
-        # from the first recorded run as a drift guard.
+        # from the first recorded run as a drift guard, for the default and
+        # two non-default pre-filter widths.
         img = textured_image(1, 128, 128)
-        scores = [assess(img, synth_distort(img, q))[0] for q in (8, 32, 128)]
-        assert scores[0] > scores[1] > scores[2]
-        expected = REGRESSION_LOCK_SCORES
-        np.testing.assert_allclose(scores, expected, rtol=1e-7)
+        for sigma, expected in REGRESSION_LOCK_SCORES_BY_SIGMA.items():
+            config = QualityConfig(sigma=sigma)
+            scores = [assess(img, synth_distort(img, q), config)[0]
+                      for q in (8, 32, 128)]
+            assert scores[0] > scores[1] > scores[2]
+            np.testing.assert_allclose(scores, expected, rtol=1e-7,
+                                       err_msg=f"sigma={sigma}")
 
 
 # First-run scores of test_distortion_regression_lock (textured seed 1,
 # 128x128, qsteps 8/32/128, default jpeg config).
 REGRESSION_LOCK_SCORES = [0.9973838328235394, 0.9635298431663696,
                           0.6952124345666797]
+# The same run per pre-filter sigma; 0.5 and 2.0 give filter radius 2 and 6.
+REGRESSION_LOCK_SCORES_BY_SIGMA = {
+    1.0: REGRESSION_LOCK_SCORES,
+    0.5: [0.9949658136316297, 0.9379949390487856, 0.6436518734665966],
+    2.0: [0.9984739384465717, 0.9796749468303753, 0.7629421505253253],
+}
 
 
 class TestReferenceEnergySpectrum:
     def test_length_and_compaction(self, textured_image):
-        e = reference_energy_spectrum(textured_image(33, 64, 64))
+        filtered = gaussian_filter(textured_image(33, 64, 64), QualityConfig().sigma)
+        e = energy_spectrum(forward(filtered, train_model(filtered)))
         assert e.shape == (496,)
         assert e[0] > np.median(e[1:])

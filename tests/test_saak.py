@@ -62,8 +62,8 @@ class TestTrainStage:
         samples = np.array([[0.0, 2.0], [2.0, 0.0], [4.0, -2.0], [-2.0, 4.0]])
         stage = train_stage(samples, block_size=1, input_channels=2)
         s = 1.0 / np.sqrt(2.0)
-        np.testing.assert_allclose(stage.dc_kernel, [s, s], atol=1e-12)
-        np.testing.assert_allclose(stage.ac_kernels[0], [s, -s], atol=1e-12)
+        np.testing.assert_allclose(stage.kernels[0], [s, s], atol=1e-12)
+        np.testing.assert_allclose(stage.kernels[1:][0], [s, -s], atol=1e-12)
 
         # Oracle: explicit 2x2 covariance eigendecomposition of the
         # DC-removed residuals about their mean.
@@ -96,24 +96,24 @@ class TestTrainStage:
         rng = np.random.default_rng(2)
         x = rng.normal(0, 30, (300, 16))
         stage = train_stage(x, 4)
-        dc = stage.dc_kernel
+        dc = stage.kernels[0]
         resid = x - np.outer(x @ dc, dc)
         centered = resid - resid.mean(axis=0)
         cov = centered.T @ centered / len(x)
         scale = max(1.0, np.abs(cov).max())
-        for lam, v in zip(stage.eigenvalues, stage.ac_kernels):
+        for lam, v in zip(stage.eigenvalues, stage.kernels[1:]):
             assert np.abs(cov @ v - lam * v).max() <= 1e-10 * scale
 
     def test_sign_rule(self):
         stage = _random_stage(seed=4)
-        for v in stage.ac_kernels:
+        for v in stage.kernels[1:]:
             assert v[np.argmax(np.abs(v))] > 0
 
     def test_eigenvalues_match_projection_variance(self):
         rng = np.random.default_rng(5)
         x = rng.normal(0, 20, (500, 16))
         stage = train_stage(x, 4)
-        proj = x @ stage.ac_kernels.T
+        proj = x @ stage.kernels[1:].T
         variances = proj.var(axis=0)
         np.testing.assert_allclose(variances, stage.eigenvalues,
                                    atol=1e-9 * max(1.0, variances.max()))
@@ -230,7 +230,7 @@ class TestFullTransform:
         model = train_model(img)
         out = forward(img, model)
         assert out.shape == (4, 4, 496)
-        assert model.output_channels == 496
+        assert model.stages[-1].dim == 496
         assert model.stages[0].input_channels == 1
         assert model.stages[1].input_channels == 31
 
