@@ -154,6 +154,11 @@ def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
     the DC-removed residuals, restricted to the DC-orthogonal subspace, in
     descending eigenvalue order with a deterministic sign rule. The returned
     basis is always complete, even for rank-deficient covariance.
+
+    That covariance is computed as ``B.T @ C @ B``, with ``C`` the centred
+    input-space covariance and ``B`` the DC-complement basis: d³ work
+    rather than the n·d² of projecting every sample, and no n x (d-1) copy.
+    Raises ``ValueError`` for NaN or infinite samples.
     """
     try:
         x = np.asarray(samples, dtype=np.float64)
@@ -168,12 +173,22 @@ def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
         raise DimensionMismatchError(
             f"sample dimension {d} != block {block_size}^2 * {input_channels} channels")
 
+    # Any NaN or inf sample makes its column mean non-finite, so checking the
+    # d means costs nothing beyond the mean itself (a finite column whose
+    # sum overflows is rejected too; its covariance would not be finite).
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = x.mean(axis=0)
+    if not np.isfinite(mean).all():
+        raise ValueError("samples contain non-finite values")
+
     basis = _dc_complement_basis(d)
-    # basis is DC-orthogonal, so projecting implicitly removes each sample's
-    # DC component.
-    y = x @ basis
-    yc = y - y.mean(axis=0)
-    cov = (yc.T @ yc) / n
+    # The covariance of the projected samples x @ basis equals the input
+    # covariance rotated into the DC-orthogonal basis, so rotate the d x d
+    # matrix instead of projecting all n samples. Centring before the Gram
+    # product keeps bright low-contrast content exact; x.T @ x / n - mu mu^T
+    # cancels digits there (scores move by ~1e-11 instead of ~1e-15).
+    xc = x - mean
+    cov = basis.T @ ((xc.T @ xc) / n) @ basis
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(-evals, kind="stable")
     ac = _fix_signs((basis @ evecs[:, order]).T)

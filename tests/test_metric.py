@@ -182,7 +182,7 @@ class TestAssess:
             scores = [assess(img, synth_distort(img, q), config)[0]
                       for q in (8, 32, 128)]
             assert scores[0] > scores[1] > scores[2]
-            np.testing.assert_allclose(scores, expected, rtol=1e-7,
+            np.testing.assert_allclose(scores, expected, rtol=1e-9,
                                        err_msg=f"sigma={sigma}")
 
 

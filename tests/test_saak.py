@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from conftest import make_textured_image
 
 from saakiqa import (
     GeometryMismatchError,
@@ -26,6 +29,26 @@ def _random_stage(seed=0, block=4, channels=1, n=200):
     rng = np.random.default_rng(seed)
     d = block * block * channels
     return train_stage(rng.normal(0, 50, (n, d)), block, channels)
+
+
+def _oracle_inputs():
+    """(samples, block, channels) cases for the covariance oracle tests.
+
+    Beyond 16-dim zero-mean noise: 496-dim stage-2 windows of a bright
+    low-contrast reference (mean 235, std 2.5), where a covariance formed
+    without centring first loses digits, and a rank-deficient set with
+    fewer samples than dimensions.
+    """
+    rng = np.random.default_rng(2)
+    noise = rng.normal(0, 30, (300, 16))
+    img = make_textured_image(30, 128, 128)
+    bright = 235.0 + 0.08 * (img - img.mean())
+    stage1 = train_stage(extract_training_patches(bright, 4, 1, 0.0), 4)
+    windows = extract_feature_windows(
+        sp_convert(forward_stage(bright[:, :, None], stage1)), 4)
+    assert windows.shape == (841, 496)
+    deficient = rng.normal(100, 30, (100, 496))
+    return [(noise, 4, 1), (windows, 4, 31), (deficient, 4, 31)]
 
 
 class TestExtractTrainingPatches:
@@ -93,16 +116,15 @@ class TestTrainStage:
     def test_eigenvector_residuals(self):
         # Oracle: the full-dimension covariance of DC-removed residuals must
         # reproduce each AC kernel as an eigenvector to solver accuracy.
-        rng = np.random.default_rng(2)
-        x = rng.normal(0, 30, (300, 16))
-        stage = train_stage(x, 4)
-        dc = stage.kernels[0]
-        resid = x - np.outer(x @ dc, dc)
-        centered = resid - resid.mean(axis=0)
-        cov = centered.T @ centered / len(x)
-        scale = max(1.0, np.abs(cov).max())
-        for lam, v in zip(stage.eigenvalues, stage.kernels[1:]):
-            assert np.abs(cov @ v - lam * v).max() <= 1e-10 * scale
+        for x, block, channels in _oracle_inputs():
+            stage = train_stage(x, block, channels)
+            dc = stage.kernels[0]
+            resid = x - np.outer(x @ dc, dc)
+            centered = resid - resid.mean(axis=0)
+            cov = centered.T @ centered / len(x)
+            scale = max(1.0, np.abs(cov).max())
+            for lam, v in zip(stage.eigenvalues, stage.kernels[1:]):
+                assert np.abs(cov @ v - lam * v).max() <= 1e-10 * scale
 
     def test_sign_rule(self):
         stage = _random_stage(seed=4)
@@ -111,17 +133,29 @@ class TestTrainStage:
 
     def test_eigenvalues_match_projection_variance(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(0, 20, (500, 16))
-        stage = train_stage(x, 4)
-        proj = x @ stage.kernels[1:].T
-        variances = proj.var(axis=0)
-        np.testing.assert_allclose(variances, stage.eigenvalues,
-                                   atol=1e-9 * max(1.0, variances.max()))
-        assert np.all(np.diff(stage.eigenvalues) <= 0)
+        cases = [(rng.normal(0, 20, (500, 16)), 4, 1)] + _oracle_inputs()[1:]
+        for x, block, channels in cases:
+            stage = train_stage(x, block, channels)
+            proj = x @ stage.kernels[1:].T
+            variances = proj.var(axis=0)
+            np.testing.assert_allclose(variances, stage.eigenvalues,
+                                       atol=1e-9 * max(1.0, variances.max()))
+            assert np.all(np.diff(stage.eigenvalues) <= 0)
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
             train_stage(np.ones((1, 16)), 4)
+
+    def test_nonfinite_samples_rejected(self):
+        # A column holding both infinities sums to NaN rather than inf.
+        rng = np.random.default_rng(6)
+        for values in ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]):
+            x = rng.normal(0, 30, (50, 16))
+            x[1:1 + len(values), 2] = values
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-finite"):
+                    train_stage(x, 4)
 
     def test_dimension_mismatch(self):
         from saakiqa import DimensionMismatchError
