@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .image import filter_radius
@@ -37,12 +38,12 @@ class QualityConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must be in [0, 1]")
-        if self.c <= 0 or self.h <= 0:
-            raise ValueError("c and h must be positive")
+        if not (0.0 < self.c < math.inf and 0.0 < self.h < math.inf):
+            raise ValueError("c and h must be positive and finite")
         if self.block_size < 1 or self.num_stages < 1 or self.train_stride < 1:
             raise ValueError("block_size, num_stages and train_stride must be >= 1")
-        if self.std_threshold < 0:
-            raise ValueError("std_threshold must be non-negative")
+        if not 0.0 <= self.std_threshold < math.inf:
+            raise ValueError("std_threshold must be non-negative and finite")
         filter_radius(self.sigma)  # raises unless sigma is positive and finite
 
     @classmethod

@@ -4,9 +4,9 @@ testing.
 
 A manifest is UTF-8 CSV (a leading byte-order mark is allowed) with header
 ``ref,dist,mos,codec``; image paths resolve relative to the manifest's
-directory. Records are scored independently (a bounded thread pool,
-capped by ``SAAKIQA_THREADS``), and row failures are recorded without
-aborting the batch.
+directory. Records are scored in input order on the calling thread, and
+the BLAS library parallelises inside each record. Row failures are
+recorded without aborting the batch.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import datetime
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -174,17 +173,6 @@ def _resolve(base: str, p: str) -> str:
     return p if os.path.isabs(p) else os.path.join(base, p)
 
 
-def _worker_count(n_records: int) -> int:
-    workers = min(n_records, os.cpu_count() or 1)
-    env = os.environ.get("SAAKIQA_THREADS")
-    if env:
-        try:
-            workers = min(workers, max(1, int(env)))
-        except ValueError:
-            pass
-    return max(1, workers)
-
-
 def _score_record(record: EvalRecord, config: QualityConfig,
                   lam_override: float | None) -> RecordResult:
     try:
@@ -233,18 +221,12 @@ def run_eval(records: list[EvalRecord], config: QualityConfig | None = None,
     error for codec ``other``. Per-record failures become row-level error
     entries; :class:`NoValidRecordsError` is raised only when there are no
     records or nothing at all could be scored. Output order follows the
-    input order regardless of worker scheduling.
+    input order.
     """
     if not records:
         raise NoValidRecordsError("manifest has no records")
     config = config or QualityConfig()
-    workers = _worker_count(len(records))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda r: _score_record(r, config, lam_override), records))
-    else:
-        results = [_score_record(r, config, lam_override) for r in records]
+    results = [_score_record(r, config, lam_override) for r in records]
 
     if not any(r.ok for r in results):
         raise NoValidRecordsError("every record failed to score")
@@ -301,8 +283,8 @@ def synth_distort(img, qstep: float) -> np.ndarray:
     produce blocking artifacts.
     """
     img = as_image(img)
-    if qstep <= 0:
-        raise ValueError("qstep must be positive")
+    if not 0 < qstep < math.inf:
+        raise ValueError("qstep must be positive and finite")
     h, w = img.shape
     n = _DCT_SIZE
     if h % n or w % n:

@@ -62,17 +62,10 @@ def pearson(x, y) -> float:
 
 def rankdata(x) -> np.ndarray:
     """1-based ranks; tied values share the mean of their rank range."""
-    a = _vector(x, "x")
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(a.size, dtype=np.float64)
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(
+        _vector(x, "x"), return_inverse=True, return_counts=True)
+    # A group of k ties ending at 1-based rank e shares rank e - (k - 1) / 2.
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def spearman(x, y) -> float:

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from saakiqa import (
     NoValidRecordsError,
     QualityConfig,
     EvalRecord,
+    assess,
     emit_report,
     logistic5_eval,
     parse_manifest,
@@ -19,6 +22,7 @@ from saakiqa import (
     synth_distort,
     write_pgm,
 )
+from saakiqa import harness
 from conftest import make_textured_image
 
 QSTEPS = (2.0, 8.0, 16.0, 32.0, 64.0, 128.0)
@@ -125,8 +129,9 @@ class TestSynthDistort:
     def test_geometry(self, textured_image):
         with pytest.raises(GeometryMismatchError):
             synth_distort(np.zeros((12, 16)), 8.0)
-        with pytest.raises(ValueError):
-            synth_distort(np.zeros((16, 16)), 0.0)
+        for qstep in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                synth_distort(np.zeros((16, 16)), qstep)
 
     def test_output_range(self, textured_image):
         out = synth_distort(textured_image(42, 64, 64), 512.0)
@@ -231,11 +236,20 @@ class TestRunEval:
         rows = [("ref.pgm", "d0.pgm", 1.0, "jpeg"),
                 ("ref.pgm", "d1.pgm", 0.0, "jpeg")]
         records = parse_manifest(_write_manifest(tmp_path, rows))
-        parallel = run_eval(records)
+        threads = []
+
+        def recording_assess(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return assess(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "assess", recording_assess)
+        default = run_eval(records)
+        assert threads == [threading.get_ident()] * len(records)
+        # A thread cap in the environment must not change scores.
         monkeypatch.setenv("SAAKIQA_THREADS", "1")
-        serial = run_eval(records)
-        assert [r.score for r in serial.results] == [
-            r.score for r in parallel.results]
+        capped = run_eval(records)
+        assert [r.score for r in capped.results] == [
+            r.score for r in default.results]
 
 
 class TestEmitReport:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,12 @@ class TestAssess:
         assert CODEC_LAMBDAS == {"jpeg": 0.7, "jpeg2000": 0.2}
         with pytest.raises(ValueError):
             QualityConfig.for_codec("other")
+        bad = [{"c": v} for v in (0.0, math.nan, math.inf)]
+        bad += [{"h": v} for v in (0.0, math.nan, math.inf)]
+        bad += [{"std_threshold": v} for v in (-1.0, math.nan, math.inf)]
+        for overrides in bad:
+            with pytest.raises(ValueError):
+                QualityConfig(**overrides)
 
     def test_crops_unaligned_inputs(self, textured_image):
         img = textured_image(31, 70, 67)

@@ -97,6 +97,10 @@ class TestSpearman:
         np.testing.assert_array_equal(rankdata(y), [1.0, 3.0, 2.0])
         expected = _pearson_oracle(_rank_oracle(x), _rank_oracle(y))
         assert spearman(x, y) == pytest.approx(expected, abs=1e-12)
+        # Tie-heavy at manifest scale, with signed zeros tied to each other.
+        heavy = np.random.default_rng(7).integers(-20, 21, size=3000) / 4.0
+        heavy[::2] *= -1.0
+        np.testing.assert_array_equal(rankdata(heavy), _rank_oracle(heavy))
 
     def test_is_pearson_of_ranks_by_construction(self):
         rng = np.random.default_rng(1)
