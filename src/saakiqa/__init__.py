@@ -45,8 +45,10 @@ from .image import (
 )
 from .metric import (
     ChannelStats,
+    Reference,
     assess,
     channel_stats,
+    prepare_reference,
     quality_from_stats,
 )
 from .saak import (
@@ -80,6 +82,7 @@ __all__ = [
     "CODEC_LAMBDAS",
     "QualityConfig",
     "ChannelStats",
+    "Reference",
     "SaakModel",
     "SaakStage",
     "LogisticFit",
@@ -104,6 +107,7 @@ __all__ = [
     "energy_spectrum",
     "channel_stats",
     "quality_from_stats",
+    "prepare_reference",
     "assess",
     "pearson",
     "spearman",

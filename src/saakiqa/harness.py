@@ -4,9 +4,12 @@ testing.
 
 A manifest is UTF-8 CSV (a leading byte-order mark is allowed) with header
 ``ref,dist,mos,codec``; image paths resolve relative to the manifest's
-directory. Records are scored in input order on the calling thread, and
-the BLAS library parallelises inside each record. Row failures are
-recorded without aborting the batch.
+directory. Records are scored on the calling thread, and the BLAS library
+parallelises inside each record. Each ``run_eval`` call reads and trains
+every reference once, scoring all of its rows against it before moving to
+the next reference, so one prepared reference is alive at a time; results
+keep the input order. Row failures are recorded without aborting the
+batch.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     SaakIqaError,
 )
 from .image import as_image, filter_radius, read_pgm
-from .metric import assess
+from .metric import assess, prepare_reference
 from .stats import kendall_tau_b, logistic5_eval, logistic5_fit, pearson, psnr, spearman
 
 _MANIFEST_HEADER = ("ref", "dist", "mos", "codec")
@@ -173,23 +176,57 @@ def _resolve(base: str, p: str) -> str:
     return p if os.path.isabs(p) else os.path.join(base, p)
 
 
-def _score_record(record: EvalRecord, config: QualityConfig,
-                  lam_override: float | None) -> RecordResult:
-    try:
-        if lam_override is not None:
-            lam = lam_override
-        elif record.codec in CODEC_LAMBDAS:
-            lam = CODEC_LAMBDAS[record.codec]
-        else:
-            raise SaakIqaError(
-                f"codec {record.codec!r} has no default lambda; pass an override")
-        ref = read_pgm(record.ref_path)
-        dist = read_pgm(record.dist_path)
-        psnr_db = psnr(ref, dist)
-        score, _ = assess(ref, dist, replace(config, lam=lam))
-        return RecordResult(record, score=score, psnr_db=psnr_db)
-    except (SaakIqaError, OSError, ValueError) as exc:
-        return RecordResult(record, error=f"{type(exc).__name__}: {exc}")
+_ROW_ERRORS = (SaakIqaError, OSError, ValueError)
+
+
+def _row_lambda(codec: str, lam_override: float | None) -> float:
+    if lam_override is not None:
+        return lam_override
+    if codec in CODEC_LAMBDAS:
+        return CODEC_LAMBDAS[codec]
+    raise SaakIqaError(f"codec {codec!r} has no default lambda; pass an override")
+
+
+def _once(fn):
+    """Call ``fn`` on first use; later uses return its result or re-raise
+    its row error, so every row that needs it sees the same outcome."""
+    outcome = []
+
+    def get():
+        if not outcome:
+            try:
+                outcome.append((fn(), None))
+            except _ROW_ERRORS as exc:
+                # Drop the traceback so the failed call's arrays are freed.
+                outcome.append((None, exc.with_traceback(None)))
+        value, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return get
+
+
+def _score_reference_rows(records: list[EvalRecord], config: QualityConfig,
+                          lam_override: float | None) -> list[RecordResult]:
+    """Score rows that share one reference, which is read and prepared
+    lazily, at most once. Each row fails at the same step with the same
+    error as it would alone: lambda, ref read, dist read, PSNR shape check,
+    then training."""
+    ref = _once(lambda: read_pgm(records[0].ref_path))
+    reference = _once(lambda: prepare_reference(ref(), config))
+    results = []
+    for record in records:
+        try:
+            lam = _row_lambda(record.codec, lam_override)
+            image = ref()
+            dist = read_pgm(record.dist_path)
+            psnr_db = psnr(image, dist)
+            score, _ = assess(reference(), dist, replace(config, lam=lam))
+            results.append(RecordResult(record, score=score, psnr_db=psnr_db))
+        except _ROW_ERRORS as exc:
+            results.append(RecordResult(record, error=f"{type(exc).__name__}: {exc}"))
+    return results
 
 
 def _codec_stats(scored: list[RecordResult], n_total: int) -> CodecResult:
@@ -220,13 +257,21 @@ def run_eval(records: list[EvalRecord], config: QualityConfig | None = None,
     The blend factor resolves as CLI override > per-codec default > row
     error for codec ``other``. Per-record failures become row-level error
     entries; :class:`NoValidRecordsError` is raised only when there are no
-    records or nothing at all could be scored. Output order follows the
-    input order.
+    records or nothing at all could be scored. Rows are scored grouped by
+    reference, each reference read and trained once; output order follows
+    the input order.
     """
     if not records:
         raise NoValidRecordsError("manifest has no records")
     config = config or QualityConfig()
-    results = [_score_record(r, config, lam_override) for r in records]
+    by_ref: dict[str, list[int]] = {}
+    for i, record in enumerate(records):
+        by_ref.setdefault(record.ref_path, []).append(i)
+    results: list[RecordResult] = [None] * len(records)
+    for rows in by_ref.values():
+        scored = _score_reference_rows([records[i] for i in rows], config, lam_override)
+        for i, result in zip(rows, scored):
+            results[i] = result
 
     if not any(r.ok for r in results):
         raise NoValidRecordsError("every record failed to score")

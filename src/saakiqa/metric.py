@@ -22,13 +22,18 @@ from .errors import (
     GeometryMismatchError,
 )
 from .image import as_image, crop_to_multiple, gaussian_filter
-from .saak import forward, train_model
+from .saak import SaakModel, forward, train_model
 
 # Spatial maps with population variance below this count as constant for
 # the correlation term.
 _VAR_EPS = 1e-12
 _MEAN_EPS = 1e-9
 _WEIGHT_EPS = 1e-12
+
+# The QualityConfig fields the learned transform depends on; lam, c and h
+# only enter the final comparison.
+_TRANSFORM_FIELDS = ("sigma", "block_size", "num_stages", "train_stride",
+                     "std_threshold")
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,47 @@ def quality_from_stats(stats: ChannelStats, lam: float, c: float) -> float:
                  + lam * corr_term)
 
 
+@dataclass(frozen=True)
+class Reference:
+    """A reference image prepared once for scoring many distortions.
+
+    ``image`` is the raw reference (for shape checks and PSNR), ``model``
+    the transform learned from its cropped, filtered copy, ``f_ref`` that
+    copy's features, and ``transform`` the values of the config's
+    transform fields it was prepared with.
+    """
+
+    image: np.ndarray
+    model: SaakModel
+    f_ref: np.ndarray
+    transform: tuple
+
+
+def _transform(config: QualityConfig) -> tuple:
+    return tuple(getattr(config, name) for name in _TRANSFORM_FIELDS)
+
+
+def _filtered(img: np.ndarray, config: QualityConfig) -> np.ndarray:
+    tile = config.block_size ** config.num_stages
+    return gaussian_filter(crop_to_multiple(img, tile), config.sigma)
+
+
+def prepare_reference(ref, config: QualityConfig | None = None) -> Reference:
+    """Learn the transform from a reference and transform the reference.
+
+    This is the part of :func:`assess` that depends on the reference and
+    the transform fields of ``config`` alone (``sigma``, ``block_size``,
+    ``num_stages``, ``train_stride``, ``std_threshold``), so one prepared
+    reference scores any number of distortions under any ``lam``, ``c``
+    and ``h``.
+    """
+    config = config or QualityConfig()
+    image = as_image(ref)
+    filtered = _filtered(image, config)
+    model = train_model(filtered, config)
+    return Reference(image, model, forward(filtered, model), _transform(config))
+
+
 def assess(ref, dist, config: QualityConfig | None = None) -> tuple[float, ChannelStats]:
     """Score a distorted image against its reference.
 
@@ -134,20 +180,26 @@ def assess(ref, dist, config: QualityConfig | None = None) -> tuple[float, Chann
     transform from the filtered reference, transform both, and evaluate the
     weighted quality function. Returns ``(score, stats)`` so callers can
     inspect the per-channel diagnostics without recomputation.
+
+    ``ref`` is an image or a :class:`Reference` from
+    :func:`prepare_reference`, which skips the training; its transform
+    fields must then equal those of ``config`` (``ValueError`` otherwise).
     """
     config = config or QualityConfig()
-    ref = as_image(ref)
+    prepared = isinstance(ref, Reference)
+    if prepared and ref.transform != _transform(config):
+        changed = [name for name, a, b in zip(
+            _TRANSFORM_FIELDS, ref.transform, _transform(config)) if a != b]
+        raise ValueError(
+            f"reference was prepared with other transform fields: {', '.join(changed)}")
+    image = ref.image if prepared else as_image(ref)
     dist = as_image(dist)
-    if ref.shape != dist.shape:
+    if image.shape != dist.shape:
         raise DimensionMismatchError(
-            f"reference {ref.shape} vs distorted {dist.shape}")
+            f"reference {image.shape} vs distorted {dist.shape}")
 
-    tile = config.block_size ** config.num_stages
-    ref = gaussian_filter(crop_to_multiple(ref, tile), config.sigma)
-    dist = gaussian_filter(crop_to_multiple(dist, tile), config.sigma)
-
-    model = train_model(ref, config)
-    f_ref = forward(ref, model)
-    f_dist = forward(dist, model)
-    stats = channel_stats(f_ref, f_dist, config.h)
+    if not prepared:
+        ref = prepare_reference(image, config)
+    f_dist = forward(_filtered(dist, config), ref.model)
+    stats = channel_stats(ref.f_ref, f_dist, config.h)
     return quality_from_stats(stats, config.lam, config.c), stats

@@ -2,21 +2,26 @@ import json
 import math
 import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from saakiqa import (
+    CODEC_LAMBDAS,
     GeometryMismatchError,
     MalformedRowError,
     NoValidRecordsError,
     QualityConfig,
     EvalRecord,
+    SaakIqaError,
     assess,
     emit_report,
     logistic5_eval,
     parse_manifest,
+    prepare_reference,
     psnr,
+    read_pgm,
     run_eval,
     spearman,
     synth_distort,
@@ -250,6 +255,128 @@ class TestRunEval:
         capped = run_eval(records)
         assert [r.score for r in capped.results] == [
             r.score for r in default.results]
+
+
+def _per_row_oracle(records, lam_override=None):
+    """Report records as scoring each row on its own would give them: the
+    blend factor, then reading both images, PSNR, and a full assess."""
+    rows = []
+    for r in records:
+        score = psnr_db = error = None
+        try:
+            if lam_override is not None:
+                lam = lam_override
+            elif r.codec in CODEC_LAMBDAS:
+                lam = CODEC_LAMBDAS[r.codec]
+            else:
+                raise SaakIqaError(
+                    f"codec {r.codec!r} has no default lambda; pass an override")
+            ref, dist = read_pgm(r.ref_path), read_pgm(r.dist_path)
+            psnr_db = psnr(ref, dist)
+            score = assess(ref, dist, QualityConfig(lam=lam))[0]
+        except (SaakIqaError, OSError, ValueError) as exc:
+            score = psnr_db = None
+            error = f"{type(exc).__name__}: {exc}"
+        rows.append({"ref": r.ref_path, "dist": r.dist_path, "codec": r.codec,
+                     "mos": r.mos, "score": score,
+                     "psnr_db": psnr_db if psnr_db is None or math.isfinite(psnr_db) else None,
+                     "error": error})
+    return rows
+
+
+class TestReferenceGrouping:
+    def test_grouped_run_matches_per_row_oracle(self, tmp_path, monkeypatch):
+        for name, seed in (("rB", 80), ("rA", 81), ("rC", 82), ("rD", 83)):
+            ref = make_textured_image(seed, 64, 64)
+            write_pgm(ref, tmp_path / f"{name}.pgm")
+            for q in (8, 64):
+                write_pgm(synth_distort(ref, q), tmp_path / f"{name}_q{q}.pgm")
+        write_pgm(np.full((64, 64), 128.0), tmp_path / "flat.pgm")
+        write_pgm(make_textured_image(84, 48, 64), tmp_path / "small.pgm")
+        # Unsorted, interleaved references; rows failing at each step in
+        # turn: codec without a lambda, missing reference, missing
+        # distortion, shape mismatch, flat reference (no training samples).
+        rows = [
+            ("rB.pgm", "rB_q8.pgm", 3.0, "jpeg"),
+            ("rA.pgm", "rA_q64.pgm", 1.0, "jpeg2000"),
+            ("missing.pgm", "rA_q8.pgm", 2.0, "jpeg"),
+            ("rB.pgm", "rB_q64.pgm", 1.0, "webp"),
+            ("flat.pgm", "flat.pgm", 5.0, "jpeg"),
+            ("rC.pgm", "rC_q64.pgm", 1.0, "jpeg"),
+            ("rA.pgm", "missing_dist.pgm", 2.0, "jpeg"),
+            ("flat.pgm", "missing_dist.pgm", 2.0, "jpeg"),
+            ("rA.pgm", "small.pgm", 2.0, "jpeg"),
+            ("rD.pgm", "small.pgm", 2.0, "jpeg2000"),
+            ("missing.pgm", "rB_q8.pgm", 2.0, "jpeg2000"),
+            ("rB.pgm", "rB_q64.pgm", 1.5, "jpeg2000"),
+            ("flat.pgm", "flat.pgm", 4.0, "jpeg2000"),
+            ("rC.pgm", "rC_q8.pgm", 2.5, "jpeg2000"),
+            ("rA.pgm", "rA_q8.pgm", 4.0, "jpeg"),
+            ("rB.pgm", "rA_q8.pgm", 0.5, "jpeg"),
+        ]
+        records = parse_manifest(_write_manifest(tmp_path, rows))
+        calls, prepared = [], []
+
+        def counting_prepare(ref, config=None):
+            calls.append(ref.shape)
+            # At most one prepared reference may be alive at a time.
+            assert all(r() is None for r in prepared)
+            reference = prepare_reference(ref, config)
+            prepared.append(weakref.ref(reference))
+            return reference
+
+        monkeypatch.setattr(harness, "prepare_reference", counting_prepare)
+        for lam_override in (None, 0.4):
+            calls.clear()
+            report = run_eval(records, lam_override=lam_override)
+            assert report.to_dict()["records"] == _per_row_oracle(records, lam_override)
+            # rB, rA, flat and rC; rD's only row fails the PSNR shape check.
+            assert len(calls) == 4
+        errors = [r.error.split(":")[0] for r in report.results if r.error]
+        assert errors == ["FileNotFoundError", "NoTrainingSamplesError",
+                          "FileNotFoundError", "FileNotFoundError",
+                          "DimensionMismatchError", "DimensionMismatchError",
+                          "FileNotFoundError", "NoTrainingSamplesError"]
+
+
+# A seeded 4-reference x 10-qstep manifest (64x64 textured references,
+# block-DCT distortions, codecs alternating by qstep) and its run_eval
+# scores and per-codec rank correlations, recorded before references were
+# prepared once per run. Beta and PLCC are not pinned: the logistic fit can
+# move between local minima when scores change in their last bits.
+GOLDEN_QSTEPS = tuple(float(q) for q in np.geomspace(2.0, 128.0, 10))
+GOLDEN_SCORES = [
+    0.998688903631672, 0.9985064531008891, 0.9977295308482993, 0.9941488849509716,
+    0.9908366300863274, 0.9579544646484787, 0.9500702849234675, 0.7945563882734914,
+    0.8063269391212419, 0.3475429617103215, 0.9992657721797369, 0.9988377060132899,
+    0.9980729844158436, 0.9938198178462609, 0.9913274618441549, 0.9603042174831993,
+    0.9542227808195314, 0.8156342544243094, 0.823358944262401, 0.28084928165151635,
+    0.9995408176776917, 0.99884318991475, 0.9986481603259488, 0.9939986897015454,
+    0.9926361735851665, 0.9607985488344984, 0.967143772968512, 0.8051565379053968,
+    0.8257883939303137, 0.315540053328715, 0.999394070735631, 0.998824354277317,
+    0.9985539820854787, 0.993835333825084, 0.992321896529706, 0.9590348900911133,
+    0.9551496773167192, 0.7792270774704954, 0.8184745818501843, 0.3288749012270867,
+]
+GOLDEN_RANKS = {"jpeg": (0.9503759398496241, 0.8105263157894737),
+                "jpeg2000": (0.968421052631579, 0.8631578947368421)}
+
+
+class TestGolden:
+    def test_run_eval_scores_and_ranks(self, tmp_path):
+        rng = np.random.default_rng(1905)
+        rows = []
+        for k, seed in enumerate((201, 202, 203, 204)):
+            ref = make_textured_image(seed, 64, 64)
+            write_pgm(ref, tmp_path / f"ref{k}.pgm")
+            for j, q in enumerate(GOLDEN_QSTEPS):
+                name = f"dist{k}_{j}.pgm"
+                write_pgm(synth_distort(ref, q), tmp_path / name)
+                mos = round(92.0 - 12.0 * math.log2(q) + float(rng.normal(0.0, 5.0)), 3)
+                rows.append((f"ref{k}.pgm", name, mos, ("jpeg", "jpeg2000")[j % 2]))
+        report = run_eval(parse_manifest(_write_manifest(tmp_path, rows)))
+        np.testing.assert_allclose([r.score for r in report.results], GOLDEN_SCORES,
+                                   rtol=1e-9, atol=0)
+        assert {name: (c.srcc, c.krcc) for name, c in report.codecs.items()} == GOLDEN_RANKS
 
 
 class TestEmitReport:

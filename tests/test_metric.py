@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from saakiqa import (
     energy_spectrum,
     forward,
     gaussian_filter,
+    prepare_reference,
     quality_from_stats,
     synth_distort,
     train_model,
@@ -150,9 +152,32 @@ class TestAssess:
             assert abs(score - 1.0) <= 1e-9
             assert abs(stats.weight.sum() - 1.0) <= 1e-12
 
-    def test_dimension_mismatch(self):
+    def test_dimension_mismatch(self, textured_image):
         with pytest.raises(DimensionMismatchError):
             assess(np.zeros((64, 64)), np.zeros((64, 48)))
+        prepared = prepare_reference(textured_image(34, 64, 64))
+        with pytest.raises(DimensionMismatchError):
+            assess(prepared, textured_image(34, 64, 48))
+
+    def test_prepared_reference_matches_image_path(self, textured_image):
+        ref = textured_image(35, 64, 64)
+        dist = synth_distort(ref, 32.0)
+        prepared = prepare_reference(ref)
+        for config in (None, QualityConfig(lam=0.2), QualityConfig(lam=0.5, c=100.0, h=30.0)):
+            score, stats = assess(prepared, dist, config)
+            expected, expected_stats = assess(ref, dist, config)
+            assert score == expected
+            np.testing.assert_array_equal(stats.weight, expected_stats.weight)
+
+    def test_prepared_reference_rejects_other_transform(self, textured_image):
+        ref = textured_image(36, 64, 64)
+        prepared = prepare_reference(ref, QualityConfig(sigma=2.0))
+        other = {"sigma": 1.0, "block_size": 2, "num_stages": 1,
+                 "train_stride": 1, "std_threshold": 1.0}
+        for name, value in other.items():
+            config = replace(QualityConfig(sigma=2.0), **{name: value})
+            with pytest.raises(ValueError, match=name):
+                assess(prepared, ref, config)
 
     def test_codec_defaults(self):
         assert QualityConfig().lam == pytest.approx(0.7)

@@ -11,6 +11,7 @@ from saakiqa import (
     InvalidPairError,
     NoTrainingSamplesError,
     QualityConfig,
+    assess,
     energy_spectrum,
     extract_feature_windows,
     extract_training_patches,
@@ -156,6 +157,17 @@ class TestTrainStage:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="non-finite"):
                     train_stage(x, 4)
+
+    def test_eigenvalues_invariant_to_constant_shift(self):
+        # Covariance ignores the sample mean. On the bright windows (mean up
+        # to 940, eigenvalues 0.002 to 496) centring before the Gram
+        # product keeps the eigenvalues shift-invariant to ~1e-16 of the
+        # largest; x.T @ x / n - mu mu^T is off by ~5e-11 there.
+        windows, block, channels = _oracle_inputs()[1]
+        stage = train_stage(windows, block, channels)
+        shifted = train_stage(windows - windows.mean(axis=0), block, channels)
+        np.testing.assert_allclose(shifted.eigenvalues, stage.eigenvalues,
+                                   rtol=0, atol=1e-12 * stage.eigenvalues[0])
 
     def test_dimension_mismatch(self):
         from saakiqa import DimensionMismatchError
@@ -342,6 +354,24 @@ class TestTrainModel:
         for s1, s2 in zip(m1.stages, m2.stages):
             assert np.array_equal(s1.kernels, s2.kernels)
             assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
+
+    def test_tied_eigenvalues_periodic_reference(self):
+        # A 4-periodic image has 4 distinct stage-1 patches and spatially
+        # constant stage-1 output, so 12 of 15 stage-1 and all 495 stage-2
+        # eigenvalues tie at zero. Training must still be repeatable bit
+        # for bit and give complete orthonormal bases.
+        rng = np.random.default_rng(40)
+        img = np.tile(np.floor(rng.uniform(0, 256, (4, 4))), (16, 16))
+        m1 = train_model(img)
+        m2 = train_model(img)
+        for s1, s2 in zip(m1.stages, m2.stages):
+            assert np.array_equal(s1.kernels, s2.kernels)
+            assert s1.kernels.shape == (s1.dim, s1.dim)
+            assert np.abs(s1.kernels @ s1.kernels.T - np.eye(s1.dim)).max() <= 1e-9
+        assert np.sum(m1.stages[0].eigenvalues <= 1e-9) == 12
+        assert np.all(m1.stages[1].eigenvalues <= 1e-9)
+        for lam in (0.7, 0.2):
+            assert assess(img, img, QualityConfig(lam=lam))[0] == 1.0
 
     def test_too_small_for_second_stage(self):
         rng = np.random.default_rng(27)
