@@ -168,6 +168,24 @@ class TestRunEval:
         assert jpeg.warning is not None
         assert any("DegenerateVariance" in w for w in report.warnings)
 
+    def test_constant_mos_omits_correlations(self, tmp_path):
+        ref = make_textured_image(53, 64, 64)
+        write_pgm(ref, tmp_path / "ref.pgm")
+        qsteps = (2.0, 4.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0, 128.0)
+        for q in qsteps:
+            write_pgm(synth_distort(ref, q), tmp_path / f"d{int(q)}.pgm")
+        rows = [("ref.pgm", f"d{int(q)}.pgm", 3.0, "jpeg") for q in qsteps]
+        report = run_eval(parse_manifest(_write_manifest(tmp_path, rows)))
+        assert len({r.score for r in report.results}) == len(qsteps)
+        # The fit succeeds on a flat MOS; PLCC against it is undefined.
+        jpeg = report.codecs["jpeg"]
+        assert jpeg.n_scored == len(qsteps)
+        assert (jpeg.plcc, jpeg.srcc, jpeg.krcc, jpeg.beta) == (None,) * 4
+        assert jpeg.fit_converged is None
+        assert jpeg.warning == ("correlations omitted: DegenerateVarianceError: "
+                                "constant input has undefined correlation")
+        assert report.warnings == [f"jpeg: {jpeg.warning}"]
+
     def test_synthetic_batch_rank_correlation(self, synthetic_batch):
         _, records, report = synthetic_batch
         jpeg = report.codecs["jpeg"]

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,6 +54,22 @@ def _kendall_oracle(x, y):
                 discordant += 1
     n0 = n * (n - 1) / 2
     return (concordant - discordant) / np.sqrt((n0 - ties_x) * (n0 - ties_y))
+
+
+def _kendall_sign_matrix_oracle(x, y):
+    """tau-b from two n x n sign matrices: the quadratic-memory formula,
+    kept as the reference that the rank-based count must equal exactly."""
+    a = np.asarray(x, dtype=np.float64)
+    b = np.asarray(y, dtype=np.float64)
+    da = np.sign(a[:, None] - a[None, :])
+    db = np.sign(b[:, None] - b[None, :])
+    s = float(np.sum(da * db)) / 2.0
+    n0 = a.size * (a.size - 1) / 2.0
+    ties = [float(np.sum(c * (c - 1)) / 2.0)
+            for c in (np.unique(a, return_counts=True)[1],
+                      np.unique(b, return_counts=True)[1])]
+    denom = np.sqrt((n0 - ties[0]) * (n0 - ties[1]))
+    return float(np.clip(s / denom, -1.0, 1.0))
 
 
 class TestPearson:
@@ -136,6 +155,44 @@ class TestKendall:
                 continue
             assert kendall_tau_b(x, y) == pytest.approx(
                 _kendall_oracle(x, y), abs=1e-12)
+
+    def test_bit_identical_to_sign_matrix_formula(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(2, 301))
+            x = rng.integers(-4, 5, size=n) / 2.0
+            y = rng.integers(-3, 4, size=n).astype(float)
+            # Signed zeros must tie with each other, as in the sign matrices.
+            x[rng.random(n) < 0.5] *= -1.0
+            y[rng.random(n) < 0.5] *= -1.0
+            if np.all(x == x[0]) or np.all(y == y[0]):
+                continue
+            assert kendall_tau_b(x, y) == _kendall_sign_matrix_oracle(x, y)
+        ramp = np.arange(3000.0)
+        assert kendall_tau_b(ramp, ramp) == 1.0
+        assert kendall_tau_b(ramp, ramp[::-1]) == -1.0
+        # A manifest-scale score/MOS sample with the ties rounding leaves.
+        scores = np.round(rng.normal(0.5, 0.2, size=2000), 3)
+        mos = np.round(50.0 + 40.0 * scores + rng.normal(0.0, 8.0, size=2000), 1)
+        assert kendall_tau_b(scores, mos) == _kendall_sign_matrix_oracle(scores, mos)
+
+    def test_extreme_magnitudes_no_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kendall_tau_b([1e308, -1e308, 0.0], [1, 2, 3]) == -1.0 / 3.0
+
+    def test_peak_memory_linear(self):
+        rng = np.random.default_rng(12)
+        x = np.round(rng.normal(size=3000), 3)
+        y = np.round(x + rng.normal(size=3000), 1)
+        tracemalloc.start()
+        try:
+            kendall_tau_b(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two n x n sign matrices alone would take 144 MB here.
+        assert peak < 4e6
 
     def test_negation_flips_sign(self):
         rng = np.random.default_rng(3)
