@@ -16,7 +16,7 @@ import json
 import sys
 
 from ._version import __version__
-from .config import QualityConfig
+from .config import CODEC_LAMBDAS, QualityConfig
 from .errors import SaakIqaError
 from .harness import emit_report, parse_manifest, run_eval, synth_distort
 from .image import crop_to_multiple, read_pgm, write_pgm
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     score = sub.add_parser("score", help="score one reference/distorted pair")
     score.add_argument("--ref", required=True, help="reference PGM")
     score.add_argument("--dist", required=True, help="distorted PGM")
-    score.add_argument("--codec", choices=["jpeg", "jpeg2000"], default="jpeg")
+    score.add_argument("--codec", choices=sorted(CODEC_LAMBDAS), default="jpeg")
     score.add_argument("--lambda", dest="lam", type=_unit_float,
                        help="override the codec's blend factor")
     score.add_argument("--json", action="store_true",

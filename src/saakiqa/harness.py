@@ -32,7 +32,8 @@ from .errors import (
     SaakIqaError,
 )
 from .image import as_image, filter_radius, read_pgm
-from .metric import assess, prepare_reference
+from .metric import C, H, assess, prepare_reference
+from .saak import BLOCK_SIZE, NUM_STAGES, STD_THRESHOLD, TRAIN_STRIDE
 from .stats import kendall_tau_b, logistic5_eval, logistic5_fit, pearson, psnr, spearman
 
 _MANIFEST_HEADER = ("ref", "dist", "mos", "codec")
@@ -264,6 +265,8 @@ def run_eval(records: list[EvalRecord], config: QualityConfig | None = None,
     if not records:
         raise NoValidRecordsError("manifest has no records")
     config = config or QualityConfig()
+    if lam_override is not None:
+        config = replace(config, lam=lam_override)  # fails before any read
     by_ref: dict[str, list[int]] = {}
     for i, record in enumerate(records):
         by_ref.setdefault(record.ref_path, []).append(i)
@@ -297,15 +300,15 @@ def _config_echo(config: QualityConfig, lam_override: float | None) -> dict:
     return {
         "lambda_override": lam_override,
         "codec_lambdas": dict(CODEC_LAMBDAS),
-        "c": config.c,
-        "h": config.h,
+        "c": C,
+        "h": H,
         "sigma": config.sigma,
         "radius": filter_radius(config.sigma),
         "border": "reflect",
-        "block_size": config.block_size,
-        "num_stages": config.num_stages,
-        "train_stride": config.train_stride,
-        "std_threshold": config.std_threshold,
+        "block_size": BLOCK_SIZE,
+        "num_stages": NUM_STAGES,
+        "train_stride": TRAIN_STRIDE,
+        "std_threshold": STD_THRESHOLD,
     }
 
 

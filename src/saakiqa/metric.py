@@ -22,18 +22,17 @@ from .errors import (
     GeometryMismatchError,
 )
 from .image import as_image, crop_to_multiple, gaussian_filter
-from .saak import SaakModel, forward, train_model
+from .saak import TILE, SaakModel, forward, train_model
+
+# The paper's fixed scales c and h of the score formula above.
+C = 400.0
+H = 100.0
 
 # Spatial maps with population variance below this count as constant for
 # the correlation term.
 _VAR_EPS = 1e-12
 _MEAN_EPS = 1e-9
 _WEIGHT_EPS = 1e-12
-
-# The QualityConfig fields the learned transform depends on; lam, c and h
-# only enter the final comparison.
-_TRANSFORM_FIELDS = ("sigma", "block_size", "num_stages", "train_stride",
-                     "std_threshold")
 
 
 @dataclass(frozen=True)
@@ -138,39 +137,32 @@ class Reference:
 
     ``image`` is the raw reference (for shape checks and PSNR), ``model``
     the transform learned from its cropped, filtered copy, ``f_ref`` that
-    copy's features, and ``transform`` the values of the config's
-    transform fields it was prepared with.
+    copy's features, and ``sigma`` the pre-filter width it was prepared
+    with.
     """
 
     image: np.ndarray
     model: SaakModel
     f_ref: np.ndarray
-    transform: tuple
+    sigma: float
 
 
-def _transform(config: QualityConfig) -> tuple:
-    return tuple(getattr(config, name) for name in _TRANSFORM_FIELDS)
-
-
-def _filtered(img: np.ndarray, config: QualityConfig) -> np.ndarray:
-    tile = config.block_size ** config.num_stages
-    return gaussian_filter(crop_to_multiple(img, tile), config.sigma)
+def _filtered(img: np.ndarray, sigma: float) -> np.ndarray:
+    return gaussian_filter(crop_to_multiple(img, TILE), sigma)
 
 
 def prepare_reference(ref, config: QualityConfig | None = None) -> Reference:
     """Learn the transform from a reference and transform the reference.
 
     This is the part of :func:`assess` that depends on the reference and
-    the transform fields of ``config`` alone (``sigma``, ``block_size``,
-    ``num_stages``, ``train_stride``, ``std_threshold``), so one prepared
-    reference scores any number of distortions under any ``lam``, ``c``
-    and ``h``.
+    ``config.sigma`` alone, so one prepared reference scores any number of
+    distortions under any ``lam``.
     """
     config = config or QualityConfig()
     image = as_image(ref)
-    filtered = _filtered(image, config)
-    model = train_model(filtered, config)
-    return Reference(image, model, forward(filtered, model), _transform(config))
+    filtered = _filtered(image, config.sigma)
+    model = train_model(filtered)
+    return Reference(image, model, forward(filtered, model), config.sigma)
 
 
 def assess(ref, dist, config: QualityConfig | None = None) -> tuple[float, ChannelStats]:
@@ -182,16 +174,15 @@ def assess(ref, dist, config: QualityConfig | None = None) -> tuple[float, Chann
     inspect the per-channel diagnostics without recomputation.
 
     ``ref`` is an image or a :class:`Reference` from
-    :func:`prepare_reference`, which skips the training; its transform
-    fields must then equal those of ``config`` (``ValueError`` otherwise).
+    :func:`prepare_reference`, which skips the training and scores under
+    any ``lam``; its ``sigma`` must equal ``config.sigma`` (``ValueError``
+    otherwise).
     """
     config = config or QualityConfig()
     prepared = isinstance(ref, Reference)
-    if prepared and ref.transform != _transform(config):
-        changed = [name for name, a, b in zip(
-            _TRANSFORM_FIELDS, ref.transform, _transform(config)) if a != b]
+    if prepared and ref.sigma != config.sigma:
         raise ValueError(
-            f"reference was prepared with other transform fields: {', '.join(changed)}")
+            f"reference was prepared with sigma {ref.sigma}, not {config.sigma}")
     image = ref.image if prepared else as_image(ref)
     dist = as_image(dist)
     if image.shape != dist.shape:
@@ -200,6 +191,6 @@ def assess(ref, dist, config: QualityConfig | None = None) -> tuple[float, Chann
 
     if not prepared:
         ref = prepare_reference(image, config)
-    f_dist = forward(_filtered(dist, config), ref.model)
-    stats = channel_stats(ref.f_ref, f_dist, config.h)
-    return quality_from_stats(stats, config.lam, config.c), stats
+    f_dist = forward(_filtered(dist, config.sigma), ref.model)
+    stats = channel_stats(ref.f_ref, f_dist, H)
+    return quality_from_stats(stats, config.lam, C), stats

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import QualityConfig
 from .errors import (
     DimensionMismatchError,
     GeometryMismatchError,
@@ -38,6 +37,14 @@ from .image import as_image
 
 # Both members of a positive/negative pair above this are a contract breach.
 PAIR_TOLERANCE = 1e-12
+
+# The paper's fixed design: two stages of 4x4 blocks, stage 1 trained on
+# stride-2 patches with standard deviation above 2 (496 output channels).
+BLOCK_SIZE = 4
+NUM_STAGES = 2
+TRAIN_STRIDE = 2
+STD_THRESHOLD = 2.0
+TILE = BLOCK_SIZE ** NUM_STAGES
 
 
 @dataclass(frozen=True)
@@ -65,16 +72,6 @@ class SaakModel:
     """Ordered stages of a trained multi-stage transform."""
 
     stages: tuple[SaakStage, ...]
-    block_size: int
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.stages)
-
-    @property
-    def spatial_factor(self) -> int:
-        """Total spatial downsampling of the full cascade."""
-        return self.block_size ** self.num_stages
 
 
 def extract_training_patches(img, block: int, stride: int,
@@ -287,14 +284,12 @@ def forward(img, model: SaakModel) -> np.ndarray:
     """Full multi-stage transform of an image into signed coefficients.
 
     Stages are chained with S/P conversion in between; the result keeps the
-    final stage's signed coefficients: ``(H/f, W/f, K)`` with ``f`` the
-    model's spatial factor.
+    final stage's signed coefficients: ``(H/TILE, W/TILE, K)``.
     """
     img = as_image(img)
-    f = model.spatial_factor
-    if img.shape[0] % f or img.shape[1] % f:
+    if img.shape[0] % TILE or img.shape[1] % TILE:
         raise GeometryMismatchError(
-            f"image {img.shape[1]}x{img.shape[0]} not divisible by {f}")
+            f"image {img.shape[1]}x{img.shape[0]} not divisible by {TILE}")
     x = img[:, :, np.newaxis]
     for i, stage in enumerate(model.stages):
         if i:
@@ -306,7 +301,7 @@ def forward(img, model: SaakModel) -> np.ndarray:
 def inverse(features, model: SaakModel) -> np.ndarray:
     """Reconstruct the image from its multi-stage coefficients."""
     x = _as_features(features)
-    for i in reversed(range(model.num_stages)):
+    for i in reversed(range(len(model.stages))):
         x = inverse_stage(x, model.stages[i])
         if i:
             x = ps_convert(x)
@@ -315,7 +310,7 @@ def inverse(features, model: SaakModel) -> np.ndarray:
     return x[:, :, 0]
 
 
-def train_model(ref, config: QualityConfig | None = None) -> SaakModel:
+def train_model(ref) -> SaakModel:
     """Learn the full transform from a (filtered, cropped) reference image.
 
     Stage 1 trains on overlapped pixel patches passing the texture filter;
@@ -323,18 +318,15 @@ def train_model(ref, config: QualityConfig | None = None) -> SaakModel:
     S/P-converted output with no variance filter. Deterministic for
     identical input.
     """
-    config = config or QualityConfig()
     ref = as_image(ref)
-    bs = config.block_size
-    samples = extract_training_patches(
-        ref, bs, config.train_stride, config.std_threshold)
-    stages = [train_stage(samples, bs, input_channels=1)]
+    samples = extract_training_patches(ref, BLOCK_SIZE, TRAIN_STRIDE, STD_THRESHOLD)
+    stages = [train_stage(samples, BLOCK_SIZE, input_channels=1)]
     x = ref[:, :, np.newaxis]
-    for _ in range(1, config.num_stages):
+    for _ in range(1, NUM_STAGES):
         x = sp_convert(forward_stage(x, stages[-1]))
-        windows = extract_feature_windows(x, bs, stride=1)
-        stages.append(train_stage(windows, bs, input_channels=x.shape[2]))
-    return SaakModel(stages=tuple(stages), block_size=bs)
+        windows = extract_feature_windows(x, BLOCK_SIZE, stride=1)
+        stages.append(train_stage(windows, BLOCK_SIZE, input_channels=x.shape[2]))
+    return SaakModel(stages=tuple(stages))
 
 
 def energy_spectrum(features) -> np.ndarray:

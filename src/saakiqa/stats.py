@@ -53,12 +53,20 @@ def pearson(x, y) -> float:
     a, b = _pair(x, y)
     if np.all(a == a[0]) or np.all(b == b[0]):
         raise DegenerateVarianceError("constant input has undefined correlation")
+    # Power-of-two scaling is exact: the result is unchanged, while the means
+    # and dot products can neither overflow nor underflow.
+    a, b = _unit_scaled(a), _unit_scaled(b)
     da = a - a.mean()
     db = b - b.mean()
     denom = np.sqrt((da @ da) * (db @ db))
     if denom == 0.0:
         raise DegenerateVarianceError("zero variance")
     return float(np.clip((da @ db) / denom, -1.0, 1.0))
+
+
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    """``v`` times the power of two that brings its largest magnitude into [0.5, 1)."""
+    return np.ldexp(v, -np.frexp(np.abs(v).max())[1])
 
 
 def _dense_ranks(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

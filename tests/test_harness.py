@@ -186,6 +186,15 @@ class TestRunEval:
                                 "constant input has undefined correlation")
         assert report.warnings == [f"jpeg: {jpeg.warning}"]
 
+    def test_invalid_lam_override_rejected_before_any_read(self, tmp_path):
+        # The paths do not exist, so any read would turn into a row error.
+        records = [EvalRecord(str(tmp_path / f"missing{i}.pgm"),
+                              str(tmp_path / "dist.pgm"), 1.0, "jpeg")
+                   for i in range(3)]
+        for bad in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match="lam"):
+                run_eval(records, lam_override=bad)
+
     def test_synthetic_batch_rank_correlation(self, synthetic_batch):
         _, records, report = synthetic_batch
         jpeg = report.codecs["jpeg"]
@@ -445,8 +454,14 @@ class TestEmitReport:
         _, _, report = synthetic_batch
         payload = report.to_dict()
         assert payload["tool"].startswith("saakiqa ")
-        assert payload["config"]["c"] == 400.0
-        assert payload["config"]["h"] == 100.0
+        # The echo's values and JSON types are part of the report format.
+        expected = (
+            '{"block_size": 4, "border": "reflect", "c": 400.0, '
+            '"codec_lambdas": {"jpeg": 0.7, "jpeg2000": 0.2}, "h": 100.0, '
+            '"lambda_override": null, "num_stages": 2, "radius": 3, '
+            '"sigma": 1.0, "std_threshold": 2.0, "train_stride": 2}')
+        assert payload["config"] == json.loads(expected)
+        assert json.dumps(payload["config"], sort_keys=True) == expected
         jpeg = payload["codecs"]["jpeg"]
         assert jpeg["n"] == sum(1 for r in payload["records"]
                                 if r["codec"] == "jpeg")

@@ -1,6 +1,3 @@
-import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -163,7 +160,7 @@ class TestAssess:
         ref = textured_image(35, 64, 64)
         dist = synth_distort(ref, 32.0)
         prepared = prepare_reference(ref)
-        for config in (None, QualityConfig(lam=0.2), QualityConfig(lam=0.5, c=100.0, h=30.0)):
+        for config in (None, QualityConfig(lam=0.2), QualityConfig(lam=0.5)):
             score, stats = assess(prepared, dist, config)
             expected, expected_stats = assess(ref, dist, config)
             assert score == expected
@@ -172,12 +169,13 @@ class TestAssess:
     def test_prepared_reference_rejects_other_transform(self, textured_image):
         ref = textured_image(36, 64, 64)
         prepared = prepare_reference(ref, QualityConfig(sigma=2.0))
-        other = {"sigma": 1.0, "block_size": 2, "num_stages": 1,
-                 "train_stride": 1, "std_threshold": 1.0}
-        for name, value in other.items():
-            config = replace(QualityConfig(sigma=2.0), **{name: value})
-            with pytest.raises(ValueError, match=name):
-                assess(prepared, ref, config)
+        with pytest.raises(ValueError, match="sigma"):
+            assess(prepared, ref, QualityConfig(sigma=1.0))
+        # The transform geometry and the score scales are fixed, not settable.
+        for name in ("c", "h", "block_size", "num_stages", "train_stride",
+                     "std_threshold"):
+            with pytest.raises(TypeError):
+                QualityConfig(**{name: 1})
 
     def test_codec_defaults(self):
         assert QualityConfig().lam == pytest.approx(0.7)
@@ -186,12 +184,6 @@ class TestAssess:
         assert CODEC_LAMBDAS == {"jpeg": 0.7, "jpeg2000": 0.2}
         with pytest.raises(ValueError):
             QualityConfig.for_codec("other")
-        bad = [{"c": v} for v in (0.0, math.nan, math.inf)]
-        bad += [{"h": v} for v in (0.0, math.nan, math.inf)]
-        bad += [{"std_threshold": v} for v in (-1.0, math.nan, math.inf)]
-        for overrides in bad:
-            with pytest.raises(ValueError):
-                QualityConfig(**overrides)
 
     def test_crops_unaligned_inputs(self, textured_image):
         img = textured_image(31, 70, 67)

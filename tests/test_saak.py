@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import make_textured_image
 
+from saakiqa import saak
 from saakiqa import (
     GeometryMismatchError,
     ImageTooSmallError,
@@ -337,11 +338,12 @@ class TestFullTransform:
 
 
 class TestTrainModel:
-    def test_defaults(self):
-        config = QualityConfig()
-        assert config.block_size == 4
-        assert config.num_stages == 2
-        assert config.std_threshold == 2.0
+    def test_defaults(self, textured_image):
+        assert (saak.BLOCK_SIZE, saak.NUM_STAGES, saak.TRAIN_STRIDE) == (4, 2, 2)
+        assert saak.STD_THRESHOLD == 2.0 and isinstance(saak.STD_THRESHOLD, float)
+        assert saak.TILE == 16
+        model = train_model(textured_image(26, 64, 64))
+        assert [stage.dim for stage in model.stages] == [16, 496]
 
     def test_constant_reference_rejected(self):
         with pytest.raises(NoTrainingSamplesError):

@@ -102,6 +102,31 @@ class TestPearson:
         assert pearson(3.0 * x + 7.0, y) == pytest.approx(r, abs=1e-12)
         assert pearson(-2.0 * x, y) == pytest.approx(-r, abs=1e-12)
 
+    def test_extreme_magnitudes(self):
+        # Squaring 1e200 overflows, squaring 1e-200 underflows, and summing
+        # 1e308 twice overflows the mean.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e200, 1e-200):
+                assert pearson([scale, -scale, 0], [1, 2, 3]) == pytest.approx(
+                    -0.5, abs=1e-15)
+            assert pearson([1e308, 1e308, -1e308], [1, 2, 3]) == pytest.approx(
+                -np.sqrt(0.75), abs=1e-15)
+
+    def test_bit_identical_to_unscaled_formula(self):
+        def unscaled(x, y):
+            dx, dy = x - x.mean(), y - y.mean()
+            return float(np.clip((dx @ dy) / np.sqrt((dx @ dx) * (dy @ dy)), -1.0, 1.0))
+
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            n = int(rng.integers(2, 100))
+            scale = 10.0 ** rng.uniform(-5, 5)
+            offset = rng.normal() * scale * 10.0 ** rng.uniform(-3, 3)
+            x = rng.normal(size=n) * scale + offset
+            y = rng.normal(size=n) + 0.5 * x / scale
+            assert pearson(x, y) == unscaled(x, y)
+
 
 class TestSpearman:
     def test_monotone_agreement(self):
