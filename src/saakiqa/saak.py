@@ -20,6 +20,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +84,11 @@ def extract_training_patches(img, block: int, stride: int,
     exceeds ``std_threshold`` are kept; flat patches carry no structure
     worth training on.
 
-    Returns an ``(n, block**2)`` array. Raises
-    :class:`NoTrainingSamplesError` when nothing survives the filter.
+    Returns an ``(n, block**2)`` array. Raises ``ValueError`` when
+    ``block`` or ``stride`` is below 1 and :class:`NoTrainingSamplesError`
+    when nothing survives the filter.
     """
+    _check_window_steps(block, stride)
     img = as_image(img)
     if img.shape[0] < block or img.shape[1] < block:
         raise ImageTooSmallError(
@@ -102,16 +105,33 @@ def extract_training_patches(img, block: int, stride: int,
 def extract_feature_windows(features, block: int, stride: int = 1) -> np.ndarray:
     """Vectorize overlapped multi-channel spatial windows of a feature grid.
 
-    No variance filter is applied. Returns ``(n, channels * block**2)``
-    rows in the package's block vectorization order.
+    No variance filter is applied. Returns a contiguous copy of ``(n,
+    channels * block**2)`` rows in the package's block vectorization order:
+    62 MB for the stage-2 windows of a 512x512 reference. :func:`train_model`
+    does not call this; it hands :func:`train_stage` the zero-copy window
+    view instead. Raises ``ValueError`` when ``block`` or ``stride`` is
+    below 1.
     """
-    f = _as_features(features)
+    _check_window_steps(block, stride)
+    wins = _feature_windows(_as_features(features), block)[::stride, ::stride]
+    return np.ascontiguousarray(
+        wins.reshape(-1, wins.shape[2] * block * block))
+
+
+def _check_window_steps(block: int, stride: int) -> None:
+    # A negative stride would sample in reverse and zero is no step at all.
+    if block < 1 or stride < 1:
+        raise ValueError(f"block and stride must be >= 1, got block={block}, "
+                         f"stride={stride}")
+
+
+def _feature_windows(f: np.ndarray, block: int) -> np.ndarray:
+    """Zero-copy ``(rows, cols, channels, block, block)`` view of every
+    stride-1 spatial window of a feature grid."""
     if f.shape[0] < block or f.shape[1] < block:
         raise ImageTooSmallError(
             f"feature grid {f.shape[1]}x{f.shape[0]} smaller than block {block}")
-    wins = sliding_window_view(f, (block, block), axis=(0, 1))[::stride, ::stride]
-    return np.ascontiguousarray(
-        wins.reshape(-1, f.shape[2] * block * block))
+    return sliding_window_view(f, (block, block), axis=(0, 1))
 
 
 def _as_features(t) -> np.ndarray:
@@ -146,6 +166,13 @@ def _fix_signs(kernels: np.ndarray) -> np.ndarray:
 def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
     """Learn one stage's orthonormal kernel set from vectorized samples.
 
+    ``samples`` is either an ``(n, d)`` array of vectorized blocks, with
+    ``d = block_size**2 * input_channels``, or a ``(rows, cols,
+    input_channels, block_size, block_size)`` array of windows such as the
+    zero-copy ``sliding_window_view`` of a feature grid, which counts as
+    ``n = rows * cols`` samples in the package's vectorization order. Both
+    give the same kernels bit for bit.
+
     The DC kernel is the normalized constant vector. AC kernels are the
     eigenvectors of the population covariance (about the ensemble mean) of
     the DC-removed residuals, restricted to the DC-orthogonal subspace, in
@@ -155,15 +182,26 @@ def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
     That covariance is computed as ``B.T @ C @ B``, with ``C`` the centred
     input-space covariance and ``B`` the DC-complement basis: d³ work
     rather than the n·d² of projecting every sample, and no n x (d-1) copy.
-    Raises ``ValueError`` for NaN or infinite samples.
+    The one n x d array allocated is the centred copy of the samples.
+    Raises :class:`DimensionMismatchError` for a block size or channel
+    count below 1 and ``ValueError`` for NaN or infinite samples.
     """
+    if block_size < 1 or input_channels < 1:
+        raise DimensionMismatchError(
+            f"block size {block_size} and channels {input_channels} must be >= 1")
     try:
         x = np.asarray(samples, dtype=np.float64)
     except ValueError:
         raise DimensionMismatchError("samples must share a common dimension") from None
-    if x.ndim != 2:
-        raise DimensionMismatchError("samples must share a common dimension")
-    n, d = x.shape
+    if x.ndim == 2:
+        lead = (0,)
+    elif x.ndim == 5 and x.shape[2:] == (input_channels, block_size, block_size):
+        lead = (0, 1)
+    else:
+        raise DimensionMismatchError(
+            "samples must be (n, d) vectors or (rows, cols, channels, block, "
+            "block) windows")
+    n, d = math.prod(x.shape[:len(lead)]), math.prod(x.shape[len(lead):])
     if n < 2:
         raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
     if d != block_size * block_size * input_channels:
@@ -174,7 +212,7 @@ def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
     # d means costs nothing beyond the mean itself (a finite column whose
     # sum overflows is rejected too; its covariance would not be finite).
     with np.errstate(invalid="ignore", over="ignore"):
-        mean = x.mean(axis=0)
+        mean = x.mean(axis=lead)
     if not np.isfinite(mean).all():
         raise ValueError("samples contain non-finite values")
 
@@ -184,7 +222,10 @@ def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
     # matrix instead of projecting all n samples. Centring before the Gram
     # product keeps bright low-contrast content exact; x.T @ x / n - mu mu^T
     # cancels digits there (scores move by ~1e-11 instead of ~1e-15).
-    xc = x - mean
+    # A C-ordered output buffer makes the reshape a view: ``x - mean`` on
+    # a strided window view allocates in its stride order and would be
+    # copied a second time by the reshape.
+    xc = np.subtract(x, mean, out=np.empty(x.shape)).reshape(n, d)
     cov = basis.T @ ((xc.T @ xc) / n) @ basis
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(-evals, kind="stable")
@@ -315,17 +356,21 @@ def train_model(ref) -> SaakModel:
 
     Stage 1 trains on overlapped pixel patches passing the texture filter;
     later stages train on stride-1 windows of the previous stage's
-    S/P-converted output with no variance filter. Deterministic for
-    identical input.
+    S/P-converted output with no variance filter. Those windows reach
+    :func:`train_stage` as a zero-copy view of the feature grid, so peak
+    memory is about one centred n x d window matrix (62 MB at 512x512),
+    and the stage-1 patches are freed before stage 2 starts. Deterministic
+    for identical input.
     """
     ref = as_image(ref)
-    samples = extract_training_patches(ref, BLOCK_SIZE, TRAIN_STRIDE, STD_THRESHOLD)
-    stages = [train_stage(samples, BLOCK_SIZE, input_channels=1)]
+    stages = [train_stage(
+        extract_training_patches(ref, BLOCK_SIZE, TRAIN_STRIDE, STD_THRESHOLD),
+        BLOCK_SIZE, input_channels=1)]
     x = ref[:, :, np.newaxis]
     for _ in range(1, NUM_STAGES):
         x = sp_convert(forward_stage(x, stages[-1]))
-        windows = extract_feature_windows(x, BLOCK_SIZE, stride=1)
-        stages.append(train_stage(windows, BLOCK_SIZE, input_channels=x.shape[2]))
+        stages.append(train_stage(_feature_windows(x, BLOCK_SIZE), BLOCK_SIZE,
+                                  input_channels=x.shape[2]))
     return SaakModel(stages=tuple(stages))
 
 

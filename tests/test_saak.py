@@ -1,7 +1,9 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from conftest import make_textured_image
 
 from saakiqa import saak
@@ -33,27 +35,37 @@ def _random_stage(seed=0, block=4, channels=1, n=200):
     return train_stage(rng.normal(0, 50, (n, d)), block, channels)
 
 
-def _oracle_inputs():
-    """(samples, block, channels) cases for the covariance oracle tests.
-
-    Beyond 16-dim zero-mean noise: 496-dim stage-2 windows of a bright
-    low-contrast reference (mean 235, std 2.5), where a covariance formed
-    without centring first loses digits, and a rank-deficient set with
-    fewer samples than dimensions.
-    """
-    rng = np.random.default_rng(2)
-    noise = rng.normal(0, 30, (300, 16))
+def _bright_features():
+    """S/P stage-1 output of a bright low-contrast reference (mean 235, std
+    2.5), where a covariance formed without centring first loses digits."""
     img = make_textured_image(30, 128, 128)
     bright = 235.0 + 0.08 * (img - img.mean())
     stage1 = train_stage(extract_training_patches(bright, 4, 1, 0.0), 4)
-    windows = extract_feature_windows(
-        sp_convert(forward_stage(bright[:, :, None], stage1)), 4)
+    return sp_convert(forward_stage(bright[:, :, None], stage1))
+
+
+def _oracle_inputs():
+    """(samples, block, channels) cases for the covariance oracle tests.
+
+    Beyond 16-dim zero-mean noise: the 496-dim stage-2 windows of
+    :func:`_bright_features`, and a rank-deficient set with fewer samples
+    than dimensions.
+    """
+    rng = np.random.default_rng(2)
+    noise = rng.normal(0, 30, (300, 16))
+    windows = extract_feature_windows(_bright_features(), 4)
     assert windows.shape == (841, 496)
     deficient = rng.normal(100, 30, (100, 496))
     return [(noise, 4, 1), (windows, 4, 31), (deficient, 4, 31)]
 
 
 class TestExtractTrainingPatches:
+    def test_block_and_stride_must_be_positive(self):
+        img = np.arange(64, dtype=np.float64).reshape(8, 8)
+        for block, stride in ((4, -1), (4, 0), (0, 1), (-4, 2)):
+            with pytest.raises(ValueError, match="block and stride"):
+                extract_training_patches(img, block, stride, 2.0)
+
     def test_constant_image_has_no_samples(self):
         with pytest.raises(NoTrainingSamplesError):
             extract_training_patches(np.full((16, 16), 77.0), 4, 1, 2.0)
@@ -176,6 +188,17 @@ class TestTrainStage:
             train_stage([np.ones(16), np.ones(15)], 4)
         with pytest.raises(DimensionMismatchError):
             train_stage(np.ones((5, 15)), 4)
+        # Windows must carry (channels, block, block) as their last axes.
+        with pytest.raises(DimensionMismatchError):
+            train_stage(np.ones((3, 3, 2, 4, 4)), 4, 1)
+        with pytest.raises(DimensionMismatchError):
+            train_stage(np.ones((3, 3, 16)), 4)
+        # A zero block or channel count is rejected before any arithmetic
+        # (the DC kernel would divide by zero).
+        with pytest.raises(DimensionMismatchError):
+            train_stage(np.ones((5, 0)), 0)
+        with pytest.raises(DimensionMismatchError):
+            train_stage(np.ones((5, 0)), 4, 0)
 
 
 class TestSpPsConversion:
@@ -380,6 +403,56 @@ class TestTrainModel:
         img = np.floor(rng.uniform(0, 256, (8, 8)))
         with pytest.raises(ImageTooSmallError):
             train_model(img)
+
+    def test_stage2_matches_window_matrix_oracle(self):
+        # Oracle: the explicit path, stage 2 trained on the contiguous
+        # window matrix from extract_feature_windows. Training from the
+        # zero-copy window view must give the same bits.
+        def oracle(ref):
+            stage1 = train_stage(extract_training_patches(
+                ref, saak.BLOCK_SIZE, saak.TRAIN_STRIDE, saak.STD_THRESHOLD), 4)
+            f = sp_convert(forward_stage(ref[:, :, None], stage1))
+            return stage1, train_stage(extract_feature_windows(f, 4), 4, 31), f
+
+        rng = np.random.default_rng(40)
+        refs = [make_textured_image(31, 64, 64), make_textured_image(32, 96, 160),
+                make_textured_image(33, 208, 112),
+                np.tile(np.floor(rng.uniform(0, 256, (4, 4))), (16, 16))]
+        grids = [_bright_features()]
+        for ref in refs:
+            stage1, stage2, f = oracle(ref)
+            grids.append(f)
+            for got, want in zip(train_model(ref).stages, (stage1, stage2)):
+                assert np.array_equal(got.kernels, want.kernels)
+                assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        for f in grids:
+            view = sliding_window_view(f, (4, 4), axis=(0, 1))
+            flat = extract_feature_windows(f, 4)
+            assert np.shares_memory(view, f)
+            got, want = train_stage(view, 4, 31), train_stage(flat, 4, 31)
+            assert np.array_equal(got.kernels, want.kernels)
+            assert np.array_equal(got.eigenvalues, want.eigenvalues)
+
+    def test_peak_memory_one_window_matrix(self):
+        # At 512x512 the stage-2 window matrix is n x d float64 with
+        # n = 125**2 windows of d = 496: 62 MB. Training may hold one
+        # centred copy of it plus the small grids, not a second copy.
+        img = make_textured_image(34, 512, 512)
+        grid = 512 // saak.BLOCK_SIZE - saak.BLOCK_SIZE + 1
+        window_bytes = grid * grid * 496 * 8
+        tracemalloc.start()
+        try:
+            train_model(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * window_bytes
+
+    def test_feature_windows_block_and_stride_must_be_positive(self):
+        f = np.zeros((6, 6, 3))
+        for block, stride in ((4, -1), (4, 0), (0, 1), (-4, 2)):
+            with pytest.raises(ValueError, match="block and stride"):
+                extract_feature_windows(f, block, stride)
 
     def test_stage2_window_layout(self):
         f = np.arange(5 * 5 * 3, dtype=np.float64).reshape(5, 5, 3)
