@@ -165,11 +165,12 @@ def _filter_axis(img: np.ndarray, taps: np.ndarray, radius: int, axis: int) -> n
     pad[axis] = (radius, radius)
     padded = np.pad(img, pad, mode="symmetric")
     out = np.zeros_like(img)
+    term = np.empty_like(img)
     n = img.shape[axis]
     for i, w in enumerate(taps):
         sl = [slice(None), slice(None)]
         sl[axis] = slice(i, i + n)
-        out += w * padded[tuple(sl)]
+        out += np.multiply(w, padded[tuple(sl)], out=term)
     return out
 
 

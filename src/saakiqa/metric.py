@@ -12,6 +12,7 @@ energy so that structure-carrying low-frequency components dominate:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,58 +58,74 @@ class ChannelStats:
         return float(self.weight @ self.correlation)
 
 
-def _channel_correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pearson correlation per channel with deterministic degenerate rules.
+class _ReferenceTerms(NamedTuple):
+    """The reference side of :func:`channel_stats`: the per-channel mean of
+    the flattened ``(n, K)`` spatial maps, the centred maps, and the
+    per-channel variance and mean square."""
 
-    Columns of ``a``/``b`` are the flattened spatial maps. When both maps
-    are (near-)constant they correlate perfectly iff their means agree;
-    when exactly one is constant no linear relation exists and the
-    correlation is 0.
-    """
-    mean_a = a.mean(axis=0)
-    mean_b = b.mean(axis=0)
-    da = a - mean_a
-    db = b - mean_b
-    var_a = np.mean(da * da, axis=0)
-    var_b = np.mean(db * db, axis=0)
-    cov = np.mean(da * db, axis=0)
+    mean: np.ndarray
+    centred: np.ndarray
+    variance: np.ndarray
+    mean_square: np.ndarray
 
-    flat_a = var_a < _VAR_EPS
-    flat_b = var_b < _VAR_EPS
-    denom = np.sqrt(var_a * var_b)
-    safe = denom > 0
-    corr = np.zeros_like(cov)
-    np.divide(cov, denom, out=corr, where=safe)
-    corr = np.clip(corr, -1.0, 1.0)
 
-    both_flat = flat_a & flat_b
-    corr[both_flat] = np.where(
-        np.abs(mean_a[both_flat] - mean_b[both_flat]) <= _MEAN_EPS, 1.0, 0.0)
-    corr[flat_a ^ flat_b] = 0.0
-    return corr
+def _reference_terms(f: np.ndarray) -> _ReferenceTerms:
+    maps = f.reshape(-1, f.shape[2])
+    mean = maps.mean(axis=0)
+    centred = maps - mean
+    buf = centred * centred
+    variance = np.mean(buf, axis=0)
+    mean_square = np.mean(np.multiply(maps, maps, out=buf), axis=0)
+    return _ReferenceTerms(mean, centred, variance, mean_square)
 
 
 def channel_stats(f_ref, f_dist, h: float) -> ChannelStats:
     """Compare two feature tensors channel by channel.
 
     Computes per-channel MSE, spatial-map correlation, pooled mean-square
-    energy, and the energy-driven weights normalized to sum 1. Raises
-    :class:`GeometryMismatchError` on shape disagreement and
-    :class:`DegenerateInputError` when both tensors are essentially zero
-    (the weights would be undefined).
+    energy, and the energy-driven weights normalized to sum 1. ``f_ref`` is
+    a feature tensor or a :class:`Reference`, whose channel terms were
+    computed once by :func:`prepare_reference`; both give the same stats
+    bit for bit. Raises :class:`GeometryMismatchError` on shape
+    disagreement and :class:`DegenerateInputError` when both tensors are
+    essentially zero (the weights would be undefined).
+
+    The correlation is Pearson's per channel with deterministic degenerate
+    rules: when both spatial maps are (near-)constant they correlate
+    perfectly iff their means agree; when exactly one is constant no
+    linear relation exists and the correlation is 0.
     """
-    fr = np.asarray(f_ref, dtype=np.float64)
+    prepared = isinstance(f_ref, Reference)
+    fr = f_ref.f_ref if prepared else np.asarray(f_ref, dtype=np.float64)
     fd = np.asarray(f_dist, dtype=np.float64)
     if fr.ndim != 3 or fr.shape != fd.shape:
         raise GeometryMismatchError(
             f"feature tensors disagree: {fr.shape} vs {fd.shape}")
+    ref = f_ref.terms if prepared else _reference_terms(fr)
 
+    # Every product lands in one scratch buffer; each is reduced before the
+    # next overwrites it.
     a = fr.reshape(-1, fr.shape[2])
     b = fd.reshape(-1, fd.shape[2])
-    diff = a - b
-    mse = np.mean(diff * diff, axis=0)
-    corr = _channel_correlations(a, b)
-    energy = 0.5 * (np.mean(a * a, axis=0) + np.mean(b * b, axis=0))
+    buf = np.subtract(a, b)
+    mse = np.mean(np.multiply(buf, buf, out=buf), axis=0)
+    mean_b = b.mean(axis=0)
+    db = b - mean_b
+    var_b = np.mean(np.multiply(db, db, out=buf), axis=0)
+    cov = np.mean(np.multiply(ref.centred, db, out=buf), axis=0)
+    energy = 0.5 * (ref.mean_square
+                    + np.mean(np.multiply(b, b, out=buf), axis=0))
+
+    flat_a = ref.variance < _VAR_EPS
+    flat_b = var_b < _VAR_EPS
+    denom = np.sqrt(ref.variance * var_b)
+    corr = np.zeros_like(cov)
+    np.divide(cov, denom, out=corr, where=denom > 0)
+    corr = np.clip(corr, -1.0, 1.0)
+    both_flat = flat_a & flat_b
+    corr[both_flat] = np.where(
+        np.abs(ref.mean[both_flat] - mean_b[both_flat]) <= _MEAN_EPS, 1.0, 0.0)
+    corr[flat_a ^ flat_b] = 0.0
 
     raw = 1.0 - np.exp(-energy / (h * h))
     z = raw.sum()
@@ -138,13 +155,17 @@ class Reference:
     ``image`` is the raw reference (for shape checks and PSNR), ``model``
     the transform learned from its cropped, filtered copy, ``f_ref`` that
     copy's features, and ``sigma`` the pre-filter width it was prepared
-    with.
+    with. ``terms`` holds the reference side of :func:`channel_stats`
+    computed once from ``f_ref``: besides per-channel vectors, the centred
+    feature maps, one more array the size of ``f_ref``. ``f_ref`` and
+    ``terms`` are read-only, so the two cannot drift apart.
     """
 
     image: np.ndarray
     model: SaakModel
     f_ref: np.ndarray
     sigma: float
+    terms: _ReferenceTerms
 
 
 def _filtered(img: np.ndarray, sigma: float) -> np.ndarray:
@@ -162,7 +183,11 @@ def prepare_reference(ref, config: QualityConfig | None = None) -> Reference:
     image = as_image(ref)
     filtered = _filtered(image, config.sigma)
     model = train_model(filtered)
-    return Reference(image, model, forward(filtered, model), config.sigma)
+    f_ref = forward(filtered, model)
+    terms = _reference_terms(f_ref)
+    for a in (f_ref, *terms):
+        a.flags.writeable = False
+    return Reference(image, model, f_ref, config.sigma, terms)
 
 
 def assess(ref, dist, config: QualityConfig | None = None) -> tuple[float, ChannelStats]:
@@ -192,5 +217,5 @@ def assess(ref, dist, config: QualityConfig | None = None) -> tuple[float, Chann
     if not prepared:
         ref = prepare_reference(image, config)
     f_dist = forward(_filtered(dist, config.sigma), ref.model)
-    stats = channel_stats(ref.f_ref, f_dist, H)
+    stats = channel_stats(ref, f_dist, H)
     return quality_from_stats(stats, config.lam, C), stats

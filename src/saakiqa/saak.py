@@ -182,7 +182,8 @@ def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
     That covariance is computed as ``B.T @ C @ B``, with ``C`` the centred
     input-space covariance and ``B`` the DC-complement basis: d³ work
     rather than the n·d² of projecting every sample, and no n x (d-1) copy.
-    The one n x d array allocated is the centred copy of the samples.
+    The one n x d array allocated is the centred copy of the samples, and
+    it is freed once its d x d Gram is formed.
     Raises :class:`DimensionMismatchError` for a block size or channel
     count below 1 and ``ValueError`` for NaN or infinite samples.
     """
@@ -216,7 +217,6 @@ def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
     if not np.isfinite(mean).all():
         raise ValueError("samples contain non-finite values")
 
-    basis = _dc_complement_basis(d)
     # The covariance of the projected samples x @ basis equals the input
     # covariance rotated into the DC-orthogonal basis, so rotate the d x d
     # matrix instead of projecting all n samples. Centring before the Gram
@@ -224,9 +224,15 @@ def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
     # cancels digits there (scores move by ~1e-11 instead of ~1e-15).
     # A C-ordered output buffer makes the reshape a view: ``x - mean`` on
     # a strided window view allocates in its stride order and would be
-    # copied a second time by the reshape.
+    # copied a second time by the reshape. That centred matrix is released
+    # as soon as its Gram is formed, before the d x d temporaries of the
+    # rotation are allocated.
     xc = np.subtract(x, mean, out=np.empty(x.shape)).reshape(n, d)
-    cov = basis.T @ ((xc.T @ xc) / n) @ basis
+    gram = xc.T @ xc
+    del xc
+    gram /= n
+    basis = _dc_complement_basis(d)
+    cov = basis.T @ gram @ basis
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(-evals, kind="stable")
     ac = _fix_signs((basis @ evecs[:, order]).T)
@@ -248,7 +254,7 @@ def sp_convert(features) -> np.ndarray:
     """
     f = _as_features(features)
     d = f.shape[2]
-    out = np.zeros(f.shape[:2] + (1 + 2 * (d - 1),), dtype=np.float64)
+    out = np.empty(f.shape[:2] + (1 + 2 * (d - 1),), dtype=np.float64)
     out[..., 0] = f[..., 0]
     ac = f[..., 1:]
     out[..., 1::2] = np.maximum(ac, 0.0)
@@ -299,7 +305,9 @@ def forward_stage(features, stage: SaakStage) -> np.ndarray:
 
     Input ``(H, W, C)`` with ``C == stage.input_channels`` and both spatial
     dims divisible by the block size; output ``(H/bs, W/bs, d)`` signed
-    coefficients, channel 0 being DC.
+    coefficients, channel 0 being DC. All blocks go through one
+    ``(blocks, d) @ (d, d)`` product: a 3-D operand would make numpy run
+    one small product per block row.
     """
     f = _as_features(features)
     bs = stage.block_size
@@ -309,7 +317,9 @@ def forward_stage(features, stage: SaakStage) -> np.ndarray:
     if f.shape[0] % bs or f.shape[1] % bs:
         raise GeometryMismatchError(
             f"spatial dims {f.shape[1]}x{f.shape[0]} not divisible by {bs}")
-    return _blocks(f, bs) @ stage.kernels.T
+    blocks = _blocks(f, bs)
+    coeffs = blocks.reshape(-1, stage.dim) @ stage.kernels.T
+    return coeffs.reshape(blocks.shape)
 
 
 def inverse_stage(coefficients, stage: SaakStage) -> np.ndarray:

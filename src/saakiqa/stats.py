@@ -138,12 +138,17 @@ def psnr(ref, dist) -> float:
     """Peak signal-to-noise ratio in dB on the 8-bit scale (peak 255).
 
     Returns ``inf`` for identical inputs (the distinguished zero-MSE
-    result).
+    result). Raises ``ValueError`` for empty or non-finite input, where
+    the MSE is undefined.
     """
     a = np.asarray(ref, dtype=np.float64)
     b = np.asarray(dist, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise ValueError("psnr of empty input is undefined")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("psnr input contains non-finite values")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return float("inf")

@@ -140,7 +140,37 @@ class TestFilterSpec:
                 QualityConfig(sigma=sigma)
 
 
+def _gaussian_filter_tap_loop(img, sigma):
+    """Oracle: the separable filter as a tap loop that allocates each
+    weighted term afresh, rows first, then columns."""
+    radius = math.ceil(3.0 * sigma)
+    x = np.arange(-radius, radius + 1, dtype=np.float64)
+    taps = np.exp(-(x * x) / (2.0 * sigma * sigma))
+    taps /= taps.sum()
+    out = img
+    for axis in (0, 1):
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (radius, radius)
+        padded = np.pad(out, pad, mode="symmetric")
+        acc = np.zeros_like(out)
+        n = out.shape[axis]
+        for i, w in enumerate(taps):
+            sl = [slice(None), slice(None)]
+            sl[axis] = slice(i, i + n)
+            acc += w * padded[tuple(sl)]
+        out = acc
+    return out
+
+
 class TestGaussianFilter:
+    def test_matches_tap_loop_oracle(self):
+        rng = np.random.default_rng(5)
+        img = np.rint(rng.uniform(0.0, 255.0, (70, 53)))
+        for sigma in (0.5, 1.0, 2.0, 2.7):
+            for a in (img, img.T):
+                assert np.array_equal(gaussian_filter(a, sigma),
+                                      _gaussian_filter_tap_loop(a, sigma))
+
     def test_constant_fixed_point(self):
         img = np.full((20, 20), 100.0)
         out = gaussian_filter(img, 1.0)

@@ -29,7 +29,78 @@ def _stats(d, c, e, w):
     )
 
 
+def _channel_stats_oracle(f_ref, f_dist, h):
+    """Oracle: the per-channel formulas evaluated afresh on both tensors,
+    every product in a new array."""
+    a = f_ref.reshape(-1, f_ref.shape[2])
+    b = f_dist.reshape(-1, f_dist.shape[2])
+    diff = a - b
+    mse = np.mean(diff * diff, axis=0)
+    mean_a = a.mean(axis=0)
+    mean_b = b.mean(axis=0)
+    da = a - mean_a
+    db = b - mean_b
+    var_a = np.mean(da * da, axis=0)
+    var_b = np.mean(db * db, axis=0)
+    cov = np.mean(da * db, axis=0)
+    flat_a = var_a < 1e-12
+    flat_b = var_b < 1e-12
+    denom = np.sqrt(var_a * var_b)
+    corr = np.zeros_like(cov)
+    np.divide(cov, denom, out=corr, where=denom > 0)
+    corr = np.clip(corr, -1.0, 1.0)
+    both_flat = flat_a & flat_b
+    corr[both_flat] = np.where(
+        np.abs(mean_a[both_flat] - mean_b[both_flat]) <= 1e-9, 1.0, 0.0)
+    corr[flat_a ^ flat_b] = 0.0
+    energy = 0.5 * (np.mean(a * a, axis=0) + np.mean(b * b, axis=0))
+    raw = 1.0 - np.exp(-energy / (h * h))
+    return mse, corr, energy, raw / raw.sum()
+
+
+def _assert_stats_equal(got, want):
+    for name, w in zip(("mse", "correlation", "energy", "weight"), want):
+        assert np.array_equal(getattr(got, name), w), name
+
+
 class TestChannelStats:
+    def test_matches_formula_oracle(self, textured_image):
+        rng = np.random.default_rng(4)
+        ref = rng.normal(0, 40, (9, 7, 8))
+        dist = ref + rng.normal(0, 6, (9, 7, 8))
+        # Near-constant maps (variance far below the flat threshold but not
+        # 0), so that each degenerate rule decides the correlation.
+        def flat(level):
+            return level + rng.normal(0, 1e-9, (9, 7))
+
+        ref[..., 1], dist[..., 1] = flat(3.0), flat(3.0)  # equal means
+        ref[..., 2], dist[..., 2] = flat(3.0), flat(4.0)  # different means
+        ref[..., 3] = flat(-2.0)                          # reference only
+        dist[..., 4] = flat(7.0)                          # distortion only
+        got = channel_stats(ref, dist, h=100.0)
+        _assert_stats_equal(got, _channel_stats_oracle(ref, dist, 100.0))
+        np.testing.assert_array_equal(got.correlation[1:5], [1.0, 0.0, 0.0, 0.0])
+
+        img = textured_image(37, 128, 128)
+        prepared = prepare_reference(img)
+        f_dist = forward(gaussian_filter(synth_distort(img, 32.0), 1.0),
+                         prepared.model)
+        want = _channel_stats_oracle(prepared.f_ref, f_dist, 100.0)
+        _assert_stats_equal(channel_stats(prepared, f_dist, h=100.0), want)
+        _assert_stats_equal(channel_stats(prepared.f_ref, f_dist, h=100.0), want)
+
+    def test_prepared_reference_matches_tensor(self, textured_image):
+        img = textured_image(38, 96, 128)
+        prepared = prepare_reference(img, QualityConfig(sigma=2.0))
+        f_dist = forward(gaussian_filter(synth_distort(img, 16.0), 2.0),
+                         prepared.model)
+        got = channel_stats(prepared, f_dist, h=100.0)
+        want = channel_stats(prepared.f_ref, f_dist, h=100.0)
+        _assert_stats_equal(got, (want.mse, want.correlation, want.energy,
+                                  want.weight))
+        with pytest.raises(GeometryMismatchError):
+            channel_stats(prepared, f_dist[:-1], h=100.0)
+
     def test_identical_tensors(self):
         rng = np.random.default_rng(0)
         f = rng.normal(0, 50, (6, 6, 4))
@@ -165,6 +236,16 @@ class TestAssess:
             expected, expected_stats = assess(ref, dist, config)
             assert score == expected
             np.testing.assert_array_equal(stats.weight, expected_stats.weight)
+
+    def test_prepared_arrays_are_read_only(self, textured_image):
+        img = textured_image(39, 64, 64)
+        prepared = prepare_reference(img)
+        for arr in (prepared.f_ref, *prepared.terms):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+        # The caller's image is left as it was given.
+        assert prepared.image is img
+        assert img.flags.writeable
 
     def test_prepared_reference_rejects_other_transform(self, textured_image):
         ref = textured_image(36, 64, 64)

@@ -245,6 +245,17 @@ class TestPsnr:
         with pytest.raises(DimensionMismatchError):
             psnr(np.zeros((4, 4)), np.zeros((4, 5)))
 
+    def test_empty_or_non_finite_input_rejected(self):
+        ok = np.zeros((4, 4))
+        for bad in (np.nan, np.inf, -np.inf):
+            img = ok.copy()
+            img[1, 2] = bad
+            for a, b in ((img, ok), (ok, img)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    psnr(a, b)
+        with pytest.raises(ValueError, match="empty"):
+            psnr(np.zeros((0, 4)), np.zeros((0, 4)))
+
 
 class TestLogisticEval:
     def test_center_point(self):
