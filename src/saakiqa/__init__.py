@@ -54,7 +54,6 @@ from .metric import (
 from .saak import (
     SaakModel,
     SaakStage,
-    energy_spectrum,
     extract_feature_windows,
     extract_training_patches,
     forward,
@@ -104,7 +103,6 @@ __all__ = [
     "inverse_stage",
     "forward",
     "inverse",
-    "energy_spectrum",
     "channel_stats",
     "quality_from_stats",
     "prepare_reference",

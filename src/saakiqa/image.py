@@ -8,6 +8,7 @@ rescaling or normalization happens anywhere in the pipeline.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -18,7 +19,10 @@ from .errors import (
     UnsupportedMaxvalError,
 )
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# Skips whitespace and ``#`` comments (to the end of the line or of the
+# buffer), then captures one token. Matched at a position rather than with
+# ``finditer``, which would resume inside an unterminated trailing comment.
+_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*(?:\n|\Z))*([^ \t\n\r\x0b\x0c#]+)")
 
 
 def as_image(data) -> np.ndarray:
@@ -37,20 +41,10 @@ def _tokens(buf: bytes):
     Tokens are whitespace-separated; ``#`` starts a comment running to the
     end of the line, per PNM convention.
     """
-    i, n = 0, len(buf)
-    while i < n:
-        c = buf[i:i + 1]
-        if c in _WHITESPACE:
-            i += 1
-        elif c == b"#":
-            j = buf.find(b"\n", i)
-            i = n if j < 0 else j + 1
-        else:
-            j = i
-            while j < n and buf[j:j + 1] not in _WHITESPACE and buf[j:j + 1] != b"#":
-                j += 1
-            yield buf[i:j], j
-            i = j
+    pos = 0
+    while m := _TOKEN.match(buf, pos):
+        pos = m.end()
+        yield m.group(1), pos
 
 
 def _header_int(token: bytes, what: str) -> int:
@@ -101,7 +95,7 @@ def read_pgm(path) -> np.ndarray:
     if magic == b"P5":
         # Exactly one whitespace byte separates the maxval token from the
         # raster.
-        if end >= len(buf) or buf[end:end + 1] not in _WHITESPACE:
+        if not buf[end:end + 1].isspace():
             raise MalformedHeaderError("missing raster separator")
         raster = buf[end + 1:]
         if len(raster) < count:

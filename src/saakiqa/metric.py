@@ -59,8 +59,8 @@ class ChannelStats:
 
 
 class _ReferenceTerms(NamedTuple):
-    """The reference side of :func:`channel_stats`: the per-channel mean of
-    the flattened ``(n, K)`` spatial maps, the centred maps, and the
+    """One side of :func:`channel_stats`: the per-channel mean of the
+    flattened ``(n, K)`` spatial maps, the centred maps, and the
     per-channel variance and mean square."""
 
     mean: np.ndarray
@@ -69,17 +69,17 @@ class _ReferenceTerms(NamedTuple):
     mean_square: np.ndarray
 
 
-def _reference_terms(f: np.ndarray) -> _ReferenceTerms:
-    maps = f.reshape(-1, f.shape[2])
+def _reference_terms(maps: np.ndarray, buf: np.ndarray) -> _ReferenceTerms:
+    # Both squares land in ``buf``, which the caller may reuse afterwards;
+    # only the centred maps are a new feature-sized array.
     mean = maps.mean(axis=0)
     centred = maps - mean
-    buf = centred * centred
-    variance = np.mean(buf, axis=0)
+    variance = np.mean(np.multiply(centred, centred, out=buf), axis=0)
     mean_square = np.mean(np.multiply(maps, maps, out=buf), axis=0)
     return _ReferenceTerms(mean, centred, variance, mean_square)
 
 
-def channel_stats(f_ref, f_dist, h: float) -> ChannelStats:
+def channel_stats(f_ref, f_dist) -> ChannelStats:
     """Compare two feature tensors channel by channel.
 
     Computes per-channel MSE, spatial-map correlation, pooled mean-square
@@ -101,40 +101,38 @@ def channel_stats(f_ref, f_dist, h: float) -> ChannelStats:
     if fr.ndim != 3 or fr.shape != fd.shape:
         raise GeometryMismatchError(
             f"feature tensors disagree: {fr.shape} vs {fd.shape}")
-    ref = f_ref.terms if prepared else _reference_terms(fr)
 
     # Every product lands in one scratch buffer; each is reduced before the
     # next overwrites it.
     a = fr.reshape(-1, fr.shape[2])
     b = fd.reshape(-1, fd.shape[2])
-    buf = np.subtract(a, b)
+    buf = np.empty(b.shape)
+    ref = f_ref.terms if prepared else _reference_terms(a, buf)
+    dist = _reference_terms(b, buf)
+    cov = np.mean(np.multiply(ref.centred, dist.centred, out=buf), axis=0)
+    np.subtract(a, b, out=buf)
     mse = np.mean(np.multiply(buf, buf, out=buf), axis=0)
-    mean_b = b.mean(axis=0)
-    db = b - mean_b
-    var_b = np.mean(np.multiply(db, db, out=buf), axis=0)
-    cov = np.mean(np.multiply(ref.centred, db, out=buf), axis=0)
-    energy = 0.5 * (ref.mean_square
-                    + np.mean(np.multiply(b, b, out=buf), axis=0))
+    energy = 0.5 * (ref.mean_square + dist.mean_square)
 
     flat_a = ref.variance < _VAR_EPS
-    flat_b = var_b < _VAR_EPS
-    denom = np.sqrt(ref.variance * var_b)
+    flat_b = dist.variance < _VAR_EPS
+    denom = np.sqrt(ref.variance * dist.variance)
     corr = np.zeros_like(cov)
     np.divide(cov, denom, out=corr, where=denom > 0)
     corr = np.clip(corr, -1.0, 1.0)
     both_flat = flat_a & flat_b
     corr[both_flat] = np.where(
-        np.abs(ref.mean[both_flat] - mean_b[both_flat]) <= _MEAN_EPS, 1.0, 0.0)
+        np.abs(ref.mean[both_flat] - dist.mean[both_flat]) <= _MEAN_EPS, 1.0, 0.0)
     corr[flat_a ^ flat_b] = 0.0
 
-    raw = 1.0 - np.exp(-energy / (h * h))
+    raw = 1.0 - np.exp(-energy / (H * H))
     z = raw.sum()
     if z < _WEIGHT_EPS:
         raise DegenerateInputError("both feature tensors are essentially zero")
     return ChannelStats(mse=mse, correlation=corr, energy=energy, weight=raw / z)
 
 
-def quality_from_stats(stats: ChannelStats, lam: float, c: float) -> float:
+def quality_from_stats(stats: ChannelStats, lam: float) -> float:
     """Blend the weighted MSE and correlation terms into one score.
 
     The result lies in [-lam, 1] and reaches 1 exactly when every weighted
@@ -144,7 +142,7 @@ def quality_from_stats(stats: ChannelStats, lam: float, c: float) -> float:
     the round-off of the weight normalization.
     """
     corr_term = 1.0 - float(stats.weight @ (1.0 - stats.correlation))
-    return float((1.0 - lam) * np.exp(-stats.weighted_mse / c)
+    return float((1.0 - lam) * np.exp(-stats.weighted_mse / C)
                  + lam * corr_term)
 
 
@@ -184,7 +182,8 @@ def prepare_reference(ref, config: QualityConfig | None = None) -> Reference:
     filtered = _filtered(image, config.sigma)
     model = train_model(filtered)
     f_ref = forward(filtered, model)
-    terms = _reference_terms(f_ref)
+    maps = f_ref.reshape(-1, f_ref.shape[2])
+    terms = _reference_terms(maps, np.empty(maps.shape))
     for a in (f_ref, *terms):
         a.flags.writeable = False
     return Reference(image, model, f_ref, config.sigma, terms)
@@ -217,5 +216,5 @@ def assess(ref, dist, config: QualityConfig | None = None) -> tuple[float, Chann
     if not prepared:
         ref = prepare_reference(image, config)
     f_dist = forward(_filtered(dist, config.sigma), ref.model)
-    stats = channel_stats(ref, f_dist, H)
-    return quality_from_stats(stats, config.lam, C), stats
+    stats = channel_stats(ref, f_dist)
+    return quality_from_stats(stats, config.lam), stats

@@ -88,12 +88,7 @@ def extract_training_patches(img, block: int, stride: int,
     ``block`` or ``stride`` is below 1 and :class:`NoTrainingSamplesError`
     when nothing survives the filter.
     """
-    _check_window_steps(block, stride)
-    img = as_image(img)
-    if img.shape[0] < block or img.shape[1] < block:
-        raise ImageTooSmallError(
-            f"image {img.shape[1]}x{img.shape[0]} smaller than block {block}")
-    wins = sliding_window_view(img, (block, block))[::stride, ::stride]
+    wins = _windows(as_image(img)[:, :, np.newaxis], block, stride)
     vecs = wins.reshape(-1, block * block)
     keep = vecs.std(axis=1) > std_threshold
     if not keep.any():
@@ -112,26 +107,27 @@ def extract_feature_windows(features, block: int, stride: int = 1) -> np.ndarray
     view instead. Raises ``ValueError`` when ``block`` or ``stride`` is
     below 1.
     """
-    _check_window_steps(block, stride)
-    wins = _feature_windows(_as_features(features), block)[::stride, ::stride]
+    wins = _windows(_as_features(features), block, stride)
     return np.ascontiguousarray(
         wins.reshape(-1, wins.shape[2] * block * block))
 
 
-def _check_window_steps(block: int, stride: int) -> None:
+def _windows(f: np.ndarray, block: int, stride: int) -> np.ndarray:
+    """Zero-copy ``(rows, cols, channels, block, block)`` view of the
+    ``block x block`` windows of a feature grid on a ``stride`` grid.
+
+    Flattening a window gives the package's block vectorization order.
+    Raises ``ValueError`` when ``block`` or ``stride`` is below 1 and
+    :class:`ImageTooSmallError` when the grid is smaller than a block.
+    """
     # A negative stride would sample in reverse and zero is no step at all.
     if block < 1 or stride < 1:
         raise ValueError(f"block and stride must be >= 1, got block={block}, "
                          f"stride={stride}")
-
-
-def _feature_windows(f: np.ndarray, block: int) -> np.ndarray:
-    """Zero-copy ``(rows, cols, channels, block, block)`` view of every
-    stride-1 spatial window of a feature grid."""
     if f.shape[0] < block or f.shape[1] < block:
         raise ImageTooSmallError(
-            f"feature grid {f.shape[1]}x{f.shape[0]} smaller than block {block}")
-    return sliding_window_view(f, (block, block), axis=(0, 1))
+            f"grid {f.shape[1]}x{f.shape[0]} smaller than block {block}")
+    return sliding_window_view(f, (block, block), axis=(0, 1))[::stride, ::stride]
 
 
 def _as_features(t) -> np.ndarray:
@@ -286,20 +282,6 @@ def ps_convert(features) -> np.ndarray:
     return out
 
 
-def _blocks(f: np.ndarray, bs: int) -> np.ndarray:
-    gh, gw, c = f.shape[0] // bs, f.shape[1] // bs, f.shape[2]
-    return (f.reshape(gh, bs, gw, bs, c)
-            .transpose(0, 2, 4, 1, 3)
-            .reshape(gh, gw, c * bs * bs))
-
-
-def _unblocks(v: np.ndarray, bs: int, channels: int) -> np.ndarray:
-    gh, gw = v.shape[:2]
-    return (v.reshape(gh, gw, channels, bs, bs)
-            .transpose(0, 3, 1, 4, 2)
-            .reshape(gh * bs, gw * bs, channels))
-
-
 def forward_stage(features, stage: SaakStage) -> np.ndarray:
     """Project non-overlapping blocks onto one stage's kernels.
 
@@ -317,18 +299,24 @@ def forward_stage(features, stage: SaakStage) -> np.ndarray:
     if f.shape[0] % bs or f.shape[1] % bs:
         raise GeometryMismatchError(
             f"spatial dims {f.shape[1]}x{f.shape[0]} not divisible by {bs}")
-    blocks = _blocks(f, bs)
+    blocks = _windows(f, bs, bs)
     coeffs = blocks.reshape(-1, stage.dim) @ stage.kernels.T
-    return coeffs.reshape(blocks.shape)
+    return coeffs.reshape(blocks.shape[:2] + (stage.dim,))
 
 
 def inverse_stage(coefficients, stage: SaakStage) -> np.ndarray:
-    """Invert :func:`forward_stage` (kernel-matrix transpose per block)."""
+    """Invert :func:`forward_stage` (kernel-matrix transpose per block), as
+    one ``(blocks, d) @ (d, d)`` product like the forward direction."""
     y = _as_features(coefficients)
     if y.shape[2] != stage.dim:
         raise GeometryMismatchError(
             f"expected {stage.dim} coefficients, got {y.shape[2]}")
-    return _unblocks(y @ stage.kernels, stage.block_size, stage.input_channels)
+    gh, gw = y.shape[:2]
+    bs, c = stage.block_size, stage.input_channels
+    blocks = y.reshape(-1, stage.dim) @ stage.kernels
+    return (blocks.reshape(gh, gw, c, bs, bs)
+            .transpose(0, 3, 1, 4, 2)
+            .reshape(gh * bs, gw * bs, c))
 
 
 def forward(img, model: SaakModel) -> np.ndarray:
@@ -379,12 +367,7 @@ def train_model(ref) -> SaakModel:
     x = ref[:, :, np.newaxis]
     for _ in range(1, NUM_STAGES):
         x = sp_convert(forward_stage(x, stages[-1]))
-        stages.append(train_stage(_feature_windows(x, BLOCK_SIZE), BLOCK_SIZE,
+        stages.append(train_stage(_windows(x, BLOCK_SIZE, 1), BLOCK_SIZE,
                                   input_channels=x.shape[2]))
     return SaakModel(stages=tuple(stages))
 
-
-def energy_spectrum(features) -> np.ndarray:
-    """Per-channel mean of squared coefficients (length-K energy vector)."""
-    f = _as_features(features)
-    return np.mean(f * f, axis=(0, 1))

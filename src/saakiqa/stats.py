@@ -149,9 +149,19 @@ def psnr(ref, dist) -> float:
         raise ValueError("psnr of empty input is undefined")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("psnr input contains non-finite values")
-    mse = float(np.mean((a - b) ** 2))
+    with np.errstate(over="ignore"):
+        mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return float("inf")
+    if mse == float("inf"):
+        # Finite inputs far enough apart overflow the difference or its
+        # square. Scaling both by one power of two brings every difference
+        # below 2, so the MSE is finite; the exponent goes back in through
+        # the logarithm.
+        _, e = np.frexp(max(np.abs(a).max(), np.abs(b).max()))
+        mse = float(np.mean((np.ldexp(a, -e) - np.ldexp(b, -e)) ** 2))
+        return float(10.0 * np.log10(255.0 ** 2 / mse)
+                     - 20.0 * e * np.log10(2.0))
     return float(10.0 * np.log10(255.0 ** 2 / mse))
 
 

@@ -16,7 +16,7 @@ import pytest
 from saakiqa import (
     QualityConfig,
     assess,
-    energy_spectrum,
+    channel_stats,
     forward,
     forward_stage,
     inverse,
@@ -95,7 +95,8 @@ def test_criterion_4_energy_compaction():
             model = train_model(img)
             for stage in model.stages:
                 assert np.all(np.diff(stage.eigenvalues) <= 0.0)
-            e = energy_spectrum(forward(img, model))
+            f = forward(img, model)
+            e = channel_stats(f, f).energy
             assert e[0] > np.median(e[1:])
 
 

@@ -14,6 +14,7 @@ from saakiqa import (
     read_pgm,
     write_pgm,
 )
+from saakiqa import image
 from saakiqa.image import filter_radius
 
 
@@ -69,6 +70,52 @@ class TestReadPgm:
         p = _write(tmp_path, "a.pgm", b"P2\n2 1\n255\n1 x")
         with pytest.raises(TruncatedDataError):
             read_pgm(p)
+
+    def test_p2_trailing_comment_without_newline(self, tmp_path):
+        p = _write(tmp_path, "a.pgm", b"P2\n2 1\n255\n3 4 # 5 6")
+        np.testing.assert_array_equal(read_pgm(p), [[3, 4]])
+        # Numbers inside the comment are not samples.
+        p = _write(tmp_path, "b.pgm", b"P2\n2 1\n255\n3 # 4")
+        with pytest.raises(TruncatedDataError):
+            read_pgm(p)
+
+    def test_comment_glued_to_token(self, tmp_path):
+        p = _write(tmp_path, "a.pgm", b"P2\n2 1#dims\n255#max\n3#c\n4")
+        np.testing.assert_array_equal(read_pgm(p), [[3, 4]])
+        p = _write(tmp_path, "b.pgm", b"P5\n1 1\n255#c\n" + bytes([7]))
+        with pytest.raises(MalformedHeaderError, match="separator"):
+            read_pgm(p)
+
+    def test_comments_between_p2_samples(self, tmp_path):
+        p = _write(tmp_path, "a.pgm",
+                   b"P2\n3 1\n255\n1 # one\n2\n#\n# two 9\r\n\t3\x0b")
+        np.testing.assert_array_equal(read_pgm(p), [[1, 2, 3]])
+
+    def test_tokens_match_byte_scan_oracle(self):
+        # Oracle: a byte-at-a-time scan of whitespace, comments and tokens.
+        space = b" \t\n\r\x0b\x0c"
+
+        def scan(buf):
+            out, i, n = [], 0, len(buf)
+            while i < n:
+                if buf[i] in space:
+                    i += 1
+                elif buf[i:i + 1] == b"#":
+                    j = buf.find(b"\n", i)
+                    i = n if j < 0 else j + 1
+                else:
+                    j = i
+                    while j < n and buf[j] not in space and buf[j:j + 1] != b"#":
+                        j += 1
+                    out.append((buf[i:j], j))
+                    i = j
+            return out
+
+        rng = np.random.default_rng(7)
+        alphabet = np.frombuffer(b" \t\n\r\x0b\x0c##ab12", dtype=np.uint8)
+        for _ in range(2000):
+            buf = rng.choice(alphabet, int(rng.integers(0, 30))).tobytes()
+            assert list(image._tokens(buf)) == scan(buf), buf
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

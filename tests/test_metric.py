@@ -10,13 +10,11 @@ from saakiqa import (
     QualityConfig,
     assess,
     channel_stats,
-    energy_spectrum,
     forward,
     gaussian_filter,
     prepare_reference,
     quality_from_stats,
     synth_distort,
-    train_model,
 )
 
 
@@ -29,7 +27,7 @@ def _stats(d, c, e, w):
     )
 
 
-def _channel_stats_oracle(f_ref, f_dist, h):
+def _channel_stats_oracle(f_ref, f_dist):
     """Oracle: the per-channel formulas evaluated afresh on both tensors,
     every product in a new array."""
     a = f_ref.reshape(-1, f_ref.shape[2])
@@ -54,7 +52,7 @@ def _channel_stats_oracle(f_ref, f_dist, h):
         np.abs(mean_a[both_flat] - mean_b[both_flat]) <= 1e-9, 1.0, 0.0)
     corr[flat_a ^ flat_b] = 0.0
     energy = 0.5 * (np.mean(a * a, axis=0) + np.mean(b * b, axis=0))
-    raw = 1.0 - np.exp(-energy / (h * h))
+    raw = 1.0 - np.exp(-energy / (100.0 * 100.0))
     return mse, corr, energy, raw / raw.sum()
 
 
@@ -77,34 +75,34 @@ class TestChannelStats:
         ref[..., 2], dist[..., 2] = flat(3.0), flat(4.0)  # different means
         ref[..., 3] = flat(-2.0)                          # reference only
         dist[..., 4] = flat(7.0)                          # distortion only
-        got = channel_stats(ref, dist, h=100.0)
-        _assert_stats_equal(got, _channel_stats_oracle(ref, dist, 100.0))
+        got = channel_stats(ref, dist)
+        _assert_stats_equal(got, _channel_stats_oracle(ref, dist))
         np.testing.assert_array_equal(got.correlation[1:5], [1.0, 0.0, 0.0, 0.0])
 
         img = textured_image(37, 128, 128)
         prepared = prepare_reference(img)
         f_dist = forward(gaussian_filter(synth_distort(img, 32.0), 1.0),
                          prepared.model)
-        want = _channel_stats_oracle(prepared.f_ref, f_dist, 100.0)
-        _assert_stats_equal(channel_stats(prepared, f_dist, h=100.0), want)
-        _assert_stats_equal(channel_stats(prepared.f_ref, f_dist, h=100.0), want)
+        want = _channel_stats_oracle(prepared.f_ref, f_dist)
+        _assert_stats_equal(channel_stats(prepared, f_dist), want)
+        _assert_stats_equal(channel_stats(prepared.f_ref, f_dist), want)
 
     def test_prepared_reference_matches_tensor(self, textured_image):
         img = textured_image(38, 96, 128)
         prepared = prepare_reference(img, QualityConfig(sigma=2.0))
         f_dist = forward(gaussian_filter(synth_distort(img, 16.0), 2.0),
                          prepared.model)
-        got = channel_stats(prepared, f_dist, h=100.0)
-        want = channel_stats(prepared.f_ref, f_dist, h=100.0)
+        got = channel_stats(prepared, f_dist)
+        want = channel_stats(prepared.f_ref, f_dist)
         _assert_stats_equal(got, (want.mse, want.correlation, want.energy,
                                   want.weight))
         with pytest.raises(GeometryMismatchError):
-            channel_stats(prepared, f_dist[:-1], h=100.0)
+            channel_stats(prepared, f_dist[:-1])
 
     def test_identical_tensors(self):
         rng = np.random.default_rng(0)
         f = rng.normal(0, 50, (6, 6, 4))
-        stats = channel_stats(f, f.copy(), h=100.0)
+        stats = channel_stats(f, f.copy())
         np.testing.assert_array_equal(stats.mse, np.zeros(4))
         np.testing.assert_allclose(stats.correlation, 1.0)
         assert stats.weight.sum() == pytest.approx(1.0, abs=1e-12)
@@ -113,14 +111,15 @@ class TestChannelStats:
         t = np.zeros((2, 2, 2))
         t[..., 0] = [[1, -1], [1, -1]]
         t[..., 1] = [[-1, 1], [-1, 1]]
-        stats = channel_stats(t, t.copy(), h=10.0)
+        t *= 10.0
+        stats = channel_stats(t, t.copy())
         np.testing.assert_allclose(stats.weight, [0.5, 0.5], atol=1e-12)
 
     def test_two_point_hand_values(self):
         # Oracle: direct formula evaluation on 2-element vectors.
         ref = np.array([[[0.0]], [[2.0]]])
         dist = np.array([[[2.0]], [[0.0]]])
-        stats = channel_stats(ref, dist, h=100.0)
+        stats = channel_stats(ref, dist)
         assert stats.mse[0] == pytest.approx(4.0)
         assert stats.correlation[0] == pytest.approx(-1.0)
         assert stats.energy[0] == pytest.approx(2.0)
@@ -129,7 +128,7 @@ class TestChannelStats:
     def test_degenerate_zero_tensors(self):
         z = np.zeros((3, 3, 2))
         with pytest.raises(DegenerateInputError):
-            channel_stats(z, z, h=100.0)
+            channel_stats(z, z)
 
     def test_constant_channel_rules(self):
         ref = np.zeros((2, 2, 3))
@@ -143,30 +142,30 @@ class TestChannelStats:
         # Constant vs varying: no linear relation.
         ref[..., 2] = 5.0
         dist[..., 2] = [[1, 2], [3, 4]]
-        stats = channel_stats(ref, dist, h=100.0)
+        stats = channel_stats(ref, dist)
         np.testing.assert_allclose(stats.correlation, [1.0, 0.0, 0.0])
 
     def test_geometry_mismatch(self):
         with pytest.raises(GeometryMismatchError):
-            channel_stats(np.zeros((2, 2, 3)), np.zeros((2, 2, 4)), h=100.0)
+            channel_stats(np.zeros((2, 2, 3)), np.zeros((2, 2, 4)))
 
     def test_weight_tracks_energy(self):
         rng = np.random.default_rng(1)
-        f = rng.normal(0, 1, (8, 8, 6)) * np.array([1, 3, 9, 27, 81, 243])
-        stats = channel_stats(f, f.copy(), h=10.0)
+        f = 10.0 * rng.normal(0, 1, (8, 8, 6)) * np.array([1, 3, 9, 27, 81, 243])
+        stats = channel_stats(f, f.copy())
         order_e = np.argsort(stats.energy)
         order_w = np.argsort(stats.weight)
         np.testing.assert_array_equal(order_e, order_w)
 
     def test_spatial_permutation_invariance(self):
         rng = np.random.default_rng(2)
-        ref = rng.normal(0, 20, (4, 5, 3))
-        dist = ref + rng.normal(0, 5, (4, 5, 3))
-        stats = channel_stats(ref, dist, h=50.0)
+        ref = 2.0 * rng.normal(0, 20, (4, 5, 3))
+        dist = ref + 2.0 * rng.normal(0, 5, (4, 5, 3))
+        stats = channel_stats(ref, dist)
         perm = rng.permutation(20)
         ref_p = ref.reshape(20, 3)[perm].reshape(4, 5, 3)
         dist_p = dist.reshape(20, 3)[perm].reshape(4, 5, 3)
-        stats_p = channel_stats(ref_p, dist_p, h=50.0)
+        stats_p = channel_stats(ref_p, dist_p)
         np.testing.assert_allclose(stats_p.mse, stats.mse, rtol=1e-12)
         np.testing.assert_allclose(stats_p.correlation, stats.correlation,
                                    rtol=1e-12)
@@ -177,16 +176,16 @@ class TestQualityFromStats:
     def test_perfect_score(self):
         stats = _stats([0, 0], [1, 1], [5, 5], [0.5, 0.5])
         for lam in (0.0, 0.2, 0.7, 1.0):
-            assert quality_from_stats(stats, lam, 400.0) == pytest.approx(1.0)
+            assert quality_from_stats(stats, lam) == pytest.approx(1.0)
 
     def test_single_exponential(self):
         stats = _stats([400.0], [0.0], [1.0], [1.0])
-        assert quality_from_stats(stats, 0.0, 400.0) == pytest.approx(
+        assert quality_from_stats(stats, 0.0) == pytest.approx(
             np.exp(-1.0), abs=1e-12)
 
     def test_weighted_correlation_only(self):
         stats = _stats([0, 0], [1.0, -1.0], [1, 1], [0.25, 0.75])
-        assert quality_from_stats(stats, 1.0, 400.0) == pytest.approx(-0.5)
+        assert quality_from_stats(stats, 1.0) == pytest.approx(-0.5)
 
     def test_bounds(self):
         rng = np.random.default_rng(3)
@@ -197,7 +196,7 @@ class TestQualityFromStats:
             stats = _stats(rng.uniform(0, 1e4, k), rng.uniform(-1, 1, k),
                            rng.uniform(0, 1e4, k), w)
             lam = float(rng.uniform(0, 1))
-            s = quality_from_stats(stats, lam, 400.0)
+            s = quality_from_stats(stats, lam)
             assert -lam - 1e-12 <= s <= 1.0 + 1e-12
 
     def test_monotone_in_distortion(self):
@@ -205,11 +204,11 @@ class TestQualityFromStats:
         worse_d = _stats([20.0, 15.0], [0.9, 0.8], [1, 1], [0.5, 0.5])
         worse_c = _stats([10.0, 5.0], [0.9, 0.5], [1, 1], [0.5, 0.5])
         for lam in (0.0, 0.5, 0.99):
-            assert quality_from_stats(worse_d, lam, 400.0) < quality_from_stats(
-                base, lam, 400.0)
+            assert quality_from_stats(worse_d, lam) < quality_from_stats(
+                base, lam)
         for lam in (0.01, 0.5, 1.0):
-            assert quality_from_stats(worse_c, lam, 400.0) < quality_from_stats(
-                base, lam, 400.0)
+            assert quality_from_stats(worse_c, lam) < quality_from_stats(
+                base, lam)
 
 
 class TestAssess:
@@ -306,7 +305,6 @@ REGRESSION_LOCK_SCORES_BY_SIGMA = {
 
 class TestReferenceEnergySpectrum:
     def test_length_and_compaction(self, textured_image):
-        filtered = gaussian_filter(textured_image(33, 64, 64), QualityConfig().sigma)
-        e = energy_spectrum(forward(filtered, train_model(filtered)))
+        e = prepare_reference(textured_image(33, 64, 64)).terms.mean_square
         assert e.shape == (496,)
         assert e[0] > np.median(e[1:])

@@ -15,7 +15,7 @@ from saakiqa import (
     NoTrainingSamplesError,
     QualityConfig,
     assess,
-    energy_spectrum,
+    channel_stats,
     extract_feature_windows,
     extract_training_patches,
     forward,
@@ -489,20 +489,12 @@ class TestTrainModel:
 
 
 class TestEnergySpectrum:
-    def test_zero_tensor(self):
-        np.testing.assert_array_equal(energy_spectrum(np.zeros((2, 2, 4))),
-                                      np.zeros(4))
-
-    def test_two_values(self):
-        t = np.array([[[3.0]], [[-4.0]]])
-        assert energy_spectrum(t)[0] == pytest.approx(12.5)
-
     def test_energy_compaction(self, textured_image):
         img = textured_image(28, 64, 64)
         model = train_model(img)
         f = forward(img, model)
-        e = energy_spectrum(f)
-        # Oracle: same formula evaluated channel by channel.
+        e = channel_stats(f, f).energy
+        # Oracle: the mean square evaluated channel by channel.
         manual = np.array([np.mean(f[:, :, k] ** 2) for k in range(f.shape[2])])
         np.testing.assert_allclose(e, manual, rtol=1e-12)
         assert e[0] > np.median(e[1:])

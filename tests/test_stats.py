@@ -257,6 +257,18 @@ class TestPsnr:
             psnr(np.zeros((0, 4)), np.zeros((0, 4)))
 
 
+    def test_far_apart_finite_inputs_do_not_overflow(self):
+        peak = 10 * np.log10(255.0 ** 2)
+        # The difference is finite but its square overflows.
+        assert psnr([[1e200]], [[-1e200]]) == pytest.approx(
+            peak - 20 * np.log10(2e200), rel=1e-12)
+        assert psnr([[1e200, 0.0], [0.0, 0.0]], np.zeros((2, 2))) == pytest.approx(
+            peak - 4000 + 10 * np.log10(4.0), rel=1e-12)
+        # The difference itself overflows.
+        assert psnr([[1.7e308]], [[-1.7e308]]) == pytest.approx(
+            peak - 20 * (np.log10(3.4) + 308), rel=1e-12)
+
+
 class TestLogisticEval:
     def test_center_point(self):
         beta = [2.0, 1.5, 0.7, 0.3, -1.0]
