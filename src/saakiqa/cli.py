@@ -43,6 +43,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _sigma(text: str) -> float:
+    value = float(text)
+    try:  # the library's own sigma rule
+        return QualityConfig(sigma=value).sigma
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _unit_float(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -72,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--scatter", help="write per-codec scatter TSV")
     ev.add_argument("--lambda", dest="lam", type=_unit_float,
                     help="blend factor for every record (overrides codec defaults)")
-    ev.add_argument("--sigma", type=_positive_float,
-                    help="Gaussian pre-filter sigma (default 1.0)")
+    ev.add_argument("--sigma", type=_sigma, default=QualityConfig.sigma,
+                    help="Gaussian pre-filter sigma (default %(default)s)")
 
     dist = sub.add_parser("distort", help="apply block-DCT quantization")
     dist.add_argument("--in", dest="infile", required=True, help="input PGM")
@@ -84,8 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _do_score(args) -> int:
-    config = QualityConfig.for_codec(args.codec, **({} if args.lam is None
-                                                    else {"lam": args.lam}))
+    config = QualityConfig.for_codec(args.codec, args.lam)
     ref = read_pgm(args.ref)
     dist = read_pgm(args.dist)
     score, stats = assess(ref, dist, config)
@@ -109,9 +116,8 @@ def _do_score(args) -> int:
 
 
 def _do_eval(args) -> int:
-    config = QualityConfig() if args.sigma is None else QualityConfig(sigma=args.sigma)
     records = parse_manifest(args.manifest)
-    report = run_eval(records, config, lam_override=args.lam)
+    report = run_eval(records, sigma=args.sigma, lam_override=args.lam)
     emit_report(report, json_path=args.out, csv_path=args.csv,
                 scatter_path=args.scatter)
     for warning in report.warnings:

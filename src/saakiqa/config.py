@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import SaakIqaError
 from .image import filter_radius
 
 # Blend factor tuned per codec family: blockiness (jpeg) favors the MSE
@@ -16,8 +17,8 @@ class QualityConfig:
     """The two settings of the scoring pipeline; the rest is fixed design.
 
     ``lam`` is the MSE/correlation blend weight in [0, 1]. ``sigma`` is the
-    standard deviation of the Gaussian pre-filter, which must be positive
-    and finite; its window radius is ``ceil(3 * sigma)`` and its borders
+    standard deviation of the Gaussian pre-filter, as ``filter_radius``
+    accepts it; its window radius is ``ceil(3 * sigma)`` and its borders
     are always reflected. The transform geometry lives in
     :mod:`saakiqa.saak` and the score scales ``C`` and ``H`` in
     :mod:`saakiqa.metric`.
@@ -29,20 +30,14 @@ class QualityConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must be in [0, 1]")
-        filter_radius(self.sigma)  # raises unless sigma is positive and finite
+        filter_radius(self.sigma)  # raises ValueError on an unusable sigma
 
     @classmethod
-    def for_codec(cls, codec: str, **overrides) -> "QualityConfig":
-        """Config with the codec's default blend factor.
-
-        Unknown codecs have no tuned default, so ``lam`` must be supplied
-        explicitly for them.
-        """
-        if "lam" not in overrides:
-            try:
-                overrides["lam"] = CODEC_LAMBDAS[codec]
-            except KeyError:
-                raise ValueError(
-                    f"no default lambda for codec {codec!r}; pass lam explicitly"
-                ) from None
-        return cls(**overrides)
+    def for_codec(cls, codec: str, lam: float | None = None,
+                  sigma: float = sigma) -> "QualityConfig":
+        """The one resolver of the blend factor: ``lam`` when given, else the
+        codec's tuned default; a codec without one (``other``) raises
+        :class:`SaakIqaError`. ``sigma`` defaults to the field default."""
+        if lam is None and codec not in CODEC_LAMBDAS:
+            raise SaakIqaError(f"codec {codec!r} has no default lambda; pass an override")
+        return cls(CODEC_LAMBDAS[codec] if lam is None else lam, sigma)

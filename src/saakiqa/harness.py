@@ -19,7 +19,7 @@ import datetime
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .saak import BLOCK_SIZE, NUM_STAGES, STD_THRESHOLD, TRAIN_STRIDE
 from .stats import kendall_tau_b, logistic5_eval, logistic5_fit, pearson, psnr, spearman
 
 _MANIFEST_HEADER = ("ref", "dist", "mos", "codec")
-_KNOWN_CODECS = frozenset(CODEC_LAMBDAS)
 _MIN_REGRESSION_N = 10
 
 
@@ -162,7 +161,7 @@ def parse_manifest(path) -> list[EvalRecord]:
             if not math.isfinite(mos):
                 raise MalformedRowError(f"line {reader.line_num}: non-finite mos")
             codec = codec.lower()
-            if codec not in _KNOWN_CODECS:
+            if codec not in CODEC_LAMBDAS:
                 codec = "other"
             records.append(EvalRecord(
                 ref_path=_resolve(base, ref),
@@ -178,14 +177,6 @@ def _resolve(base: str, p: str) -> str:
 
 
 _ROW_ERRORS = (SaakIqaError, OSError, ValueError)
-
-
-def _row_lambda(codec: str, lam_override: float | None) -> float:
-    if lam_override is not None:
-        return lam_override
-    if codec in CODEC_LAMBDAS:
-        return CODEC_LAMBDAS[codec]
-    raise SaakIqaError(f"codec {codec!r} has no default lambda; pass an override")
 
 
 def _once(fn):
@@ -208,22 +199,22 @@ def _once(fn):
     return get
 
 
-def _score_reference_rows(records: list[EvalRecord], config: QualityConfig,
+def _score_reference_rows(records: list[EvalRecord], sigma: float,
                           lam_override: float | None) -> list[RecordResult]:
     """Score rows that share one reference, which is read and prepared
     lazily, at most once. Each row fails at the same step with the same
     error as it would alone: lambda, ref read, dist read, PSNR shape check,
     then training."""
     ref = _once(lambda: read_pgm(records[0].ref_path))
-    reference = _once(lambda: prepare_reference(ref(), config))
+    reference = _once(lambda: prepare_reference(ref(), sigma))
     results = []
     for record in records:
         try:
-            lam = _row_lambda(record.codec, lam_override)
+            config = QualityConfig.for_codec(record.codec, lam_override, sigma)
             image = ref()
             dist = read_pgm(record.dist_path)
             psnr_db = psnr(image, dist)
-            score, _ = assess(reference(), dist, replace(config, lam=lam))
+            score, _ = assess(reference(), dist, config)
             results.append(RecordResult(record, score=score, psnr_db=psnr_db))
         except _ROW_ERRORS as exc:
             results.append(RecordResult(record, error=f"{type(exc).__name__}: {exc}"))
@@ -251,28 +242,31 @@ def _codec_stats(scored: list[RecordResult], n_total: int) -> CodecResult:
     return result
 
 
-def run_eval(records: list[EvalRecord], config: QualityConfig | None = None,
+def run_eval(records: list[EvalRecord], *, sigma: float = QualityConfig.sigma,
              lam_override: float | None = None) -> EvalReport:
     """Score every record and fit per-codec correlation statistics.
 
-    The blend factor resolves as CLI override > per-codec default > row
-    error for codec ``other``. Per-record failures become row-level error
-    entries; :class:`NoValidRecordsError` is raised only when there are no
-    records or nothing at all could be scored. Rows are scored grouped by
+    ``sigma`` is the pre-filter width for every record. Each row's blend
+    factor comes from :meth:`QualityConfig.for_codec`: ``lam_override``
+    when given, else the row's codec default; a codec with no default
+    (``other``) makes that row an error. A bad ``sigma`` or
+    ``lam_override`` raises ``ValueError`` before any file is read.
+    Per-record failures become row-level error entries;
+    :class:`NoValidRecordsError` is raised only when there are no records
+    or nothing at all could be scored. Rows are scored grouped by
     reference, each reference read and trained once; output order follows
     the input order.
     """
     if not records:
         raise NoValidRecordsError("manifest has no records")
-    config = config or QualityConfig()
-    if lam_override is not None:
-        config = replace(config, lam=lam_override)  # fails before any read
+    # A bad setting raises here, not as one row error per record.
+    QualityConfig(QualityConfig.lam if lam_override is None else lam_override, sigma)
     by_ref: dict[str, list[int]] = {}
     for i, record in enumerate(records):
         by_ref.setdefault(record.ref_path, []).append(i)
     results: list[RecordResult] = [None] * len(records)
     for rows in by_ref.values():
-        scored = _score_reference_rows([records[i] for i in rows], config, lam_override)
+        scored = _score_reference_rows([records[i] for i in rows], sigma, lam_override)
         for i, result in zip(rows, scored):
             results[i] = result
 
@@ -291,19 +285,19 @@ def run_eval(records: list[EvalRecord], config: QualityConfig | None = None,
     return EvalReport(
         results=results,
         codecs=codecs,
-        config=_config_echo(config, lam_override),
+        config=_config_echo(sigma, lam_override),
         warnings=warnings,
     )
 
 
-def _config_echo(config: QualityConfig, lam_override: float | None) -> dict:
+def _config_echo(sigma: float, lam_override: float | None) -> dict:
     return {
         "lambda_override": lam_override,
         "codec_lambdas": dict(CODEC_LAMBDAS),
         "c": C,
         "h": H,
-        "sigma": config.sigma,
-        "radius": filter_radius(config.sigma),
+        "sigma": sigma,
+        "radius": filter_radius(sigma),
         "border": "reflect",
         "block_size": BLOCK_SIZE,
         "num_stages": NUM_STAGES,

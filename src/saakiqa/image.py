@@ -24,6 +24,10 @@ from .errors import (
 # ``finditer``, which would resume inside an unterminated trailing comment.
 _TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*(?:\n|\Z))*([^ \t\n\r\x0b\x0c#]+)")
 
+# The extreme sigmas whose Gaussian tap denominator 2*sigma**2 is normal.
+_SIGMA_MIN = math.sqrt(np.finfo(float).tiny / 2.0)
+_SIGMA_MAX = math.sqrt(np.finfo(float).max / 2.0)
+
 
 def as_image(data) -> np.ndarray:
     """Coerce to a 2-D float64 image array, validating finiteness."""
@@ -172,12 +176,13 @@ def filter_radius(sigma: float) -> int:
     """Half-width of the Gaussian window: ``ceil(3 * sigma)``.
 
     The window covers three standard deviations on each side. Raises
-    ``ValueError`` unless sigma is positive and the window is finite.
+    ``ValueError`` unless ``2 * sigma**2``, the taps' denominator, is a
+    normal float; otherwise the taps overflow or are NaN, or no window fits.
     """
-    reach = 3.0 * sigma
-    if not 0.0 < reach < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
-    return math.ceil(reach)
+    if not _SIGMA_MIN <= sigma <= _SIGMA_MAX:
+        raise ValueError(
+            f"sigma must lie in [{_SIGMA_MIN:.4g}, {_SIGMA_MAX:.4g}], got {sigma!r}")
+    return math.ceil(3.0 * sigma)
 
 
 def gaussian_filter(img, sigma: float) -> np.ndarray:

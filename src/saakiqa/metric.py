@@ -36,7 +36,7 @@ _MEAN_EPS = 1e-9
 _WEIGHT_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelStats:
     """Per-channel diagnostics behind one score.
 
@@ -146,12 +146,12 @@ def quality_from_stats(stats: ChannelStats, lam: float) -> float:
                  + lam * corr_term)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reference:
     """A reference image prepared once for scoring many distortions.
 
-    ``image`` is the raw reference (for shape checks and PSNR), ``model``
-    the transform learned from its cropped, filtered copy, ``f_ref`` that
+    ``image`` is the raw reference (for shape checks), ``model`` the
+    transform learned from its cropped, filtered copy, ``f_ref`` that
     copy's features, and ``sigma`` the pre-filter width it was prepared
     with. ``terms`` holds the reference side of :func:`channel_stats`
     computed once from ``f_ref``: besides per-channel vectors, the centred
@@ -170,23 +170,22 @@ def _filtered(img: np.ndarray, sigma: float) -> np.ndarray:
     return gaussian_filter(crop_to_multiple(img, TILE), sigma)
 
 
-def prepare_reference(ref, config: QualityConfig | None = None) -> Reference:
+def prepare_reference(ref, sigma: float = QualityConfig.sigma) -> Reference:
     """Learn the transform from a reference and transform the reference.
 
     This is the part of :func:`assess` that depends on the reference and
-    ``config.sigma`` alone, so one prepared reference scores any number of
-    distortions under any ``lam``.
+    the pre-filter width ``sigma`` alone, so one prepared reference scores
+    any number of distortions under any ``lam``.
     """
-    config = config or QualityConfig()
     image = as_image(ref)
-    filtered = _filtered(image, config.sigma)
+    filtered = _filtered(image, sigma)
     model = train_model(filtered)
     f_ref = forward(filtered, model)
     maps = f_ref.reshape(-1, f_ref.shape[2])
     terms = _reference_terms(maps, np.empty(maps.shape))
     for a in (f_ref, *terms):
         a.flags.writeable = False
-    return Reference(image, model, f_ref, config.sigma, terms)
+    return Reference(image, model, f_ref, sigma, terms)
 
 
 def assess(ref, dist, config: QualityConfig | None = None) -> tuple[float, ChannelStats]:
@@ -214,7 +213,7 @@ def assess(ref, dist, config: QualityConfig | None = None) -> tuple[float, Chann
             f"reference {image.shape} vs distorted {dist.shape}")
 
     if not prepared:
-        ref = prepare_reference(image, config)
+        ref = prepare_reference(image, config.sigma)
     f_dist = forward(_filtered(dist, config.sigma), ref.model)
     stats = channel_stats(ref, f_dist)
     return quality_from_stats(stats, config.lam), stats

@@ -48,7 +48,7 @@ STD_THRESHOLD = 2.0
 TILE = BLOCK_SIZE ** NUM_STAGES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaakStage:
     """One learned transform stage.
 
@@ -68,7 +68,7 @@ class SaakStage:
         return self.block_size * self.block_size * self.input_channels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaakModel:
     """Ordered stages of a trained multi-stage transform."""
 

@@ -165,7 +165,7 @@ def psnr(ref, dist) -> float:
     return float(10.0 * np.log10(255.0 ** 2 / mse))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogisticFit:
     """Result of :func:`logistic5_fit`."""
 

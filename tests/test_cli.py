@@ -136,11 +136,13 @@ class TestEval:
         assert s0 != s1
 
     def test_nonfinite_sigma_is_usage_error(self, small_manifest, capsys):
-        for sigma in ("inf", "1e400", "nan", "0"):
+        # Every sigma the library rejects, including those whose window or
+        # taps overflow, is a usage error with the library's message.
+        for sigma in ("inf", "1e400", "nan", "0", "1e308", "1e-200"):
             assert cli_main(["eval", "--manifest", str(small_manifest),
                              "--sigma", sigma]) == 1
             err = capsys.readouterr().err
-            assert "not a positive finite number" in err
+            assert "sigma must lie in [1.055e-154, 9.481e+153]" in err
             assert "Traceback" not in err
 
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):

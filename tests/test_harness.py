@@ -195,6 +195,35 @@ class TestRunEval:
             with pytest.raises(ValueError, match="lam"):
                 run_eval(records, lam_override=bad)
 
+    def test_invalid_sigma_rejected_before_any_read(self, tmp_path):
+        records = [EvalRecord(str(tmp_path / f"missing{i}.pgm"),
+                              str(tmp_path / "dist.pgm"), 1.0, "jpeg")
+                   for i in range(3)]
+        for bad in (0.0, -1.0, math.nan, math.inf, 1e-200):
+            with pytest.raises(ValueError, match="sigma"):
+                run_eval(records, sigma=bad)
+
+    def test_settings_are_keyword_only(self, tmp_path):
+        # A config passed positionally would carry a lam that run_eval
+        # never reads; it is refused rather than silently dropped.
+        records = [EvalRecord(str(tmp_path / "missing.pgm"),
+                              str(tmp_path / "dist.pgm"), 1.0, "jpeg")]
+        with pytest.raises(TypeError):
+            run_eval(records, QualityConfig(lam=0.1))
+
+    def test_sigma_reaches_every_row(self, tmp_path):
+        write_pgm(make_textured_image(63, 64, 64), tmp_path / "ref.pgm")
+        write_pgm(synth_distort(read_pgm(tmp_path / "ref.pgm"), 32.0),
+                  tmp_path / "dist.pgm")
+        ref, dist = read_pgm(tmp_path / "ref.pgm"), read_pgm(tmp_path / "dist.pgm")
+        rows = [("ref.pgm", "dist.pgm", 1.0, "jpeg"),
+                ("ref.pgm", "dist.pgm", 1.0, "jpeg2000")]
+        report = run_eval(parse_manifest(_write_manifest(tmp_path, rows)), sigma=2.0)
+        assert [r.score for r in report.results] == [
+            assess(ref, dist, QualityConfig.for_codec(codec, sigma=2.0))[0]
+            for codec in ("jpeg", "jpeg2000")]
+        assert (report.config["sigma"], report.config["radius"]) == (2.0, 6)
+
     def test_synthetic_batch_rank_correlation(self, synthetic_batch):
         _, records, report = synthetic_batch
         jpeg = report.codecs["jpeg"]
@@ -339,11 +368,11 @@ class TestReferenceGrouping:
         records = parse_manifest(_write_manifest(tmp_path, rows))
         calls, prepared = [], []
 
-        def counting_prepare(ref, config=None):
+        def counting_prepare(ref, sigma):
             calls.append(ref.shape)
             # At most one prepared reference may be alive at a time.
             assert all(r() is None for r in prepared)
-            reference = prepare_reference(ref, config)
+            reference = prepare_reference(ref, sigma)
             prepared.append(weakref.ref(reference))
             return reference
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -178,6 +179,28 @@ class TestFilterSpec:
         for sigma in (math.inf, 1e308):
             with pytest.raises(ValueError):
                 filter_radius(sigma)
+
+    def test_sigma_needs_normal_tap_denominator(self):
+        # 2*sigma**2 must be a normal float: subnormal, its taps overflow
+        # (1e-160); zero, they are NaN (1e-200); infinite, the window is
+        # unbounded (1e154).
+        smallest = math.sqrt(sys.float_info.min / 2.0)
+        largest = math.sqrt(sys.float_info.max / 2.0)
+        below = math.nextafter(smallest, 0.0)
+        assert 2.0 * below * below < sys.float_info.min <= 2.0 * smallest * smallest
+        assert 2.0 * largest * largest < math.inf
+        for sigma in (1e-160, 1e-200, 5e-324, below,
+                      math.nextafter(largest, math.inf), 1e154, np.float64(1e200)):
+            with pytest.raises(ValueError, match="sigma"):
+                filter_radius(sigma)
+            with pytest.raises(ValueError, match="sigma"):
+                QualityConfig(sigma=sigma)
+        assert filter_radius(largest) == math.ceil(3.0 * largest)
+        # The smallest accepted sigma filters without a warning; its
+        # window is a single tap.
+        img = np.arange(30.0).reshape(5, 6)
+        assert filter_radius(smallest) == 1
+        assert np.array_equal(gaussian_filter(img, smallest), img)
 
     def test_bad_sigma(self):
         for sigma in (0.0, -1.0, math.nan, math.inf):

@@ -8,6 +8,7 @@ from saakiqa import (
     DimensionMismatchError,
     GeometryMismatchError,
     QualityConfig,
+    SaakIqaError,
     assess,
     channel_stats,
     forward,
@@ -89,7 +90,7 @@ class TestChannelStats:
 
     def test_prepared_reference_matches_tensor(self, textured_image):
         img = textured_image(38, 96, 128)
-        prepared = prepare_reference(img, QualityConfig(sigma=2.0))
+        prepared = prepare_reference(img, 2.0)
         f_dist = forward(gaussian_filter(synth_distort(img, 16.0), 2.0),
                          prepared.model)
         got = channel_stats(prepared, f_dist)
@@ -248,7 +249,7 @@ class TestAssess:
 
     def test_prepared_reference_rejects_other_transform(self, textured_image):
         ref = textured_image(36, 64, 64)
-        prepared = prepare_reference(ref, QualityConfig(sigma=2.0))
+        prepared = prepare_reference(ref, 2.0)
         with pytest.raises(ValueError, match="sigma"):
             assess(prepared, ref, QualityConfig(sigma=1.0))
         # The transform geometry and the score scales are fixed, not settable.
@@ -262,8 +263,21 @@ class TestAssess:
         assert QualityConfig.for_codec("jpeg").lam == pytest.approx(0.7)
         assert QualityConfig.for_codec("jpeg2000").lam == pytest.approx(0.2)
         assert CODEC_LAMBDAS == {"jpeg": 0.7, "jpeg2000": 0.2}
-        with pytest.raises(ValueError):
+        with pytest.raises(SaakIqaError,
+                           match="codec 'other' has no default lambda; pass an override"):
             QualityConfig.for_codec("other")
+
+    def test_for_codec_overrides(self):
+        # An explicit lam wins over the codec default and stands in for a
+        # missing one; sigma passes through.
+        assert QualityConfig.for_codec("jpeg", 0.1) == QualityConfig(0.1, 1.0)
+        assert QualityConfig.for_codec("other", 0.4) == QualityConfig(0.4, 1.0)
+        assert QualityConfig.for_codec("jpeg2000", sigma=2.0) == QualityConfig(0.2, 2.0)
+        for bad in (1.5, -0.1):
+            with pytest.raises(ValueError, match="lam"):
+                QualityConfig.for_codec("jpeg", bad)
+        with pytest.raises(ValueError, match="sigma"):
+            QualityConfig.for_codec("jpeg", sigma=0.0)
 
     def test_crops_unaligned_inputs(self, textured_image):
         img = textured_image(31, 70, 67)

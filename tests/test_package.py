@@ -4,9 +4,13 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import saakiqa
 from conftest import make_textured_image
 from saakiqa import synth_distort
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_all_matches_public_bindings():
@@ -19,16 +23,39 @@ def test_all_matches_public_bindings():
     assert set(names) - {"__version__"} == public
 
 
-def _load_spans(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+def test_array_dataclasses_compare_by_identity():
+    # Frozen dataclasses with array fields: a generated __eq__ would compare
+    # arrays (ambiguous truth value) and the generated __hash__ would hash
+    # them (TypeError), so these compare and hash by identity.
+    ref = make_textured_image(42, 64, 64)
+    dist = synth_distort(ref, 16.0)
+    prepared, other = saakiqa.prepare_reference(ref), saakiqa.prepare_reference(ref)
+    _, stats = saakiqa.assess(prepared, dist)
+    x = np.linspace(0.0, 1.0, 20)
+    fit = saakiqa.logistic5_fit(x, 3.0 * x + np.sin(7.0 * x))
+    for obj, twin in ((prepared, other), (prepared.model, other.model),
+                      (prepared.model.stages[0], other.model.stages[0]),
+                      (stats, saakiqa.assess(other, dist)[1]),
+                      (fit, saakiqa.logistic5_fit(x, 3.0 * x + np.sin(7.0 * x)))):
+        assert hash(obj) == hash(obj)
+        assert obj in [twin, obj] and obj not in [twin]
+        assert {obj: 1}[obj] == 1
+
+
+def _load_perfbench(monkeypatch, name, as_name=None):
     # Read-only: no bytecode cache is written next to it.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up in sys.modules.
-    monkeypatch.setitem(sys.modules, spec.name, spans)
-    spec.loader.exec_module(spans)
-    return spans
+    spec = importlib.util.spec_from_file_location(
+        as_name or name, _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses, and its siblings' imports, look it up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _load_spans(monkeypatch):
+    return _load_perfbench(monkeypatch, "spans", "_perfbench_spans")
 
 
 def test_traced_benchmark_functions_resolve(monkeypatch):
@@ -60,3 +87,25 @@ def test_traced_assess_fills_layer_metrics(monkeypatch):
         assert m[name] > 0.0, name
     assert 0.0 < m["saak.stage1.keep_ratio"] <= 1.0
     assert m["harness.train_per_pair"] == 1.0
+
+
+def test_untraced_benchmark_units_match_golden(monkeypatch, tmp_path):
+    # The timed, untraced benchmark run calls the package's public API
+    # directly (QualityConfig.for_codec, run_eval, emit_report); a changed
+    # signature there would only show as a failed benchmark. Golden unit 0
+    # of three workloads runs here; the fit SSE is not pinned, since it
+    # moves with the BLAS thread count.
+    _, workloads, golden = [_load_perfbench(monkeypatch, name)
+                            for name in ("inputs", "workloads", "golden")]
+    want = golden.load()
+    for name in ("assess-512", "eval-shared", "stats-3000"):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        wl = workloads.make(name, golden.GOLDEN_SEED, str(workdir))
+        unit = wl.unit(0)
+        out = wl.outputs(unit, wl.run(unit))
+        assert workloads.check(out) == [], name
+        scores = want[name][0]["scores"]
+        assert len(out["scores"]) == len(scores), name
+        for got, w in zip(out["scores"], scores):
+            assert abs(got - w) <= golden.SCORE_RTOL * abs(w), name
