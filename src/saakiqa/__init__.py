@@ -54,7 +54,6 @@ from .metric import (
 from .saak import (
     SaakModel,
     SaakStage,
-    extract_feature_windows,
     extract_training_patches,
     forward,
     forward_stage,
@@ -94,7 +93,6 @@ __all__ = [
     "crop_to_multiple",
     "gaussian_filter",
     "extract_training_patches",
-    "extract_feature_windows",
     "train_stage",
     "train_model",
     "sp_convert",

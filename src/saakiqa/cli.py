@@ -17,7 +17,7 @@ import sys
 
 from ._version import __version__
 from .config import CODEC_LAMBDAS, QualityConfig
-from .errors import SaakIqaError
+from .errors import DATA_ERRORS
 from .harness import emit_report, parse_manifest, run_eval, synth_distort
 from .image import crop_to_multiple, read_pgm, write_pgm
 from .metric import assess
@@ -43,19 +43,19 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _sigma(text: str) -> float:
-    value = float(text)
-    try:  # the library's own sigma rule
-        return QualityConfig(sigma=value).sigma
+def _checked(**setting) -> QualityConfig:
+    try:  # the library's own rule for the setting
+        return QualityConfig(**setting)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
-    return value
+def _lam(text: str) -> float:
+    return _checked(lam=float(text)).lam
+
+
+def _sigma(text: str) -> float:
+    return _checked(sigma=float(text)).sigma
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--ref", required=True, help="reference PGM")
     score.add_argument("--dist", required=True, help="distorted PGM")
     score.add_argument("--codec", choices=sorted(CODEC_LAMBDAS), default="jpeg")
-    score.add_argument("--lambda", dest="lam", type=_unit_float,
+    score.add_argument("--lambda", dest="lam", type=_lam,
                        help="override the codec's blend factor")
     score.add_argument("--json", action="store_true",
                        help="print score plus channel diagnostics as JSON")
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", help="write the full report as JSON")
     ev.add_argument("--csv", help="write per-record rows as CSV")
     ev.add_argument("--scatter", help="write per-codec scatter TSV")
-    ev.add_argument("--lambda", dest="lam", type=_unit_float,
+    ev.add_argument("--lambda", dest="lam", type=_lam,
                     help="blend factor for every record (overrides codec defaults)")
     ev.add_argument("--sigma", type=_sigma, default=QualityConfig.sigma,
                     help="Gaussian pre-filter sigma (default %(default)s)")
@@ -145,7 +145,7 @@ def cli_main(argv=None) -> int:
     handler = {"score": _do_score, "eval": _do_eval, "distort": _do_distort}
     try:
         return handler[args.command](args)
-    except (SaakIqaError, OSError, ValueError) as exc:
+    except DATA_ERRORS as exc:
         print(f"saakiqa: error: {exc}", file=sys.stderr)
         return 2
 

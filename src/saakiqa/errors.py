@@ -10,6 +10,10 @@ class SaakIqaError(Exception):
     """Base class for all errors raised by saakiqa."""
 
 
+# What bad input data can raise: a report row error, a CLI exit code 2.
+DATA_ERRORS = (SaakIqaError, OSError, ValueError)
+
+
 # --- image decoding ---------------------------------------------------------
 
 class MalformedHeaderError(SaakIqaError):

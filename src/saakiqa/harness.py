@@ -19,13 +19,14 @@ import datetime
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ._version import __version__
 from .config import CODEC_LAMBDAS, QualityConfig
 from .errors import (
+    DATA_ERRORS,
     GeometryMismatchError,
     MalformedRowError,
     NoValidRecordsError,
@@ -34,10 +35,11 @@ from .errors import (
 from .image import as_image, filter_radius, read_pgm
 from .metric import C, H, assess, prepare_reference
 from .saak import BLOCK_SIZE, NUM_STAGES, STD_THRESHOLD, TRAIN_STRIDE
-from .stats import kendall_tau_b, logistic5_eval, logistic5_fit, pearson, psnr, spearman
+from .stats import (MIN_REGRESSION_N, kendall_tau_b, logistic5_eval, logistic5_fit,
+                    pearson, psnr, spearman)
 
 _MANIFEST_HEADER = ("ref", "dist", "mos", "codec")
-_MIN_REGRESSION_N = 10
+_TOOL = f"saakiqa {__version__}"
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,11 @@ class EvalReport:
     codecs: dict[str, CodecResult]
     config: dict
     warnings: list[str] = field(default_factory=list)
-    tool: str = f"saakiqa {__version__}"
 
     def to_dict(self) -> dict:
         """JSON-ready view with deterministic content (no timestamp)."""
         return {
-            "tool": self.tool,
+            "tool": _TOOL,
             "config": self.config,
             "warnings": list(self.warnings),
             "records": [
@@ -102,19 +103,7 @@ class EvalReport:
                 }
                 for r in self.results
             ],
-            "codecs": {
-                name: {
-                    "n": c.n,
-                    "n_scored": c.n_scored,
-                    "plcc": c.plcc,
-                    "srcc": c.srcc,
-                    "krcc": c.krcc,
-                    "beta": c.beta,
-                    "fit_converged": c.fit_converged,
-                    "warning": c.warning,
-                }
-                for name, c in sorted(self.codecs.items())
-            },
+            "codecs": {name: asdict(c) for name, c in sorted(self.codecs.items())},
         }
 
 
@@ -176,9 +165,6 @@ def _resolve(base: str, p: str) -> str:
     return p if os.path.isabs(p) else os.path.join(base, p)
 
 
-_ROW_ERRORS = (SaakIqaError, OSError, ValueError)
-
-
 def _once(fn):
     """Call ``fn`` on first use; later uses return its result or re-raise
     its row error, so every row that needs it sees the same outcome."""
@@ -188,7 +174,7 @@ def _once(fn):
         if not outcome:
             try:
                 outcome.append((fn(), None))
-            except _ROW_ERRORS as exc:
+            except DATA_ERRORS as exc:
                 # Drop the traceback so the failed call's arrays are freed.
                 outcome.append((None, exc.with_traceback(None)))
         value, exc = outcome[0]
@@ -216,17 +202,17 @@ def _score_reference_rows(records: list[EvalRecord], sigma: float,
             psnr_db = psnr(image, dist)
             score, _ = assess(reference(), dist, config)
             results.append(RecordResult(record, score=score, psnr_db=psnr_db))
-        except _ROW_ERRORS as exc:
+        except DATA_ERRORS as exc:
             results.append(RecordResult(record, error=f"{type(exc).__name__}: {exc}"))
     return results
 
 
 def _codec_stats(scored: list[RecordResult], n_total: int) -> CodecResult:
     result = CodecResult(n=n_total, n_scored=len(scored))
-    if len(scored) < _MIN_REGRESSION_N:
+    if len(scored) < MIN_REGRESSION_N:
         result.warning = (
             f"correlations omitted: {len(scored)} scored records < "
-            f"{_MIN_REGRESSION_N}")
+            f"{MIN_REGRESSION_N}")
         return result
     scores = np.array([r.score for r in scored])
     mos = np.array([r.record.mos for r in scored])
@@ -309,7 +295,8 @@ def _config_echo(sigma: float, lam_override: float | None) -> dict:
 _DCT_SIZE = 8
 
 
-def _dct_matrix(n: int = _DCT_SIZE) -> np.ndarray:
+def _dct_matrix() -> np.ndarray:
+    n = _DCT_SIZE
     k = np.arange(n, dtype=np.float64)
     t = np.sqrt(2.0 / n) * np.cos(np.pi * (2.0 * k[None, :] + 1.0) * k[:, None] / (2.0 * n))
     t[0] /= np.sqrt(2.0)
@@ -331,7 +318,7 @@ def synth_distort(img, qstep: float) -> np.ndarray:
     n = _DCT_SIZE
     if h % n or w % n:
         raise GeometryMismatchError(f"{w}x{h} image not divisible by {n}")
-    t = _dct_matrix(n)
+    t = _dct_matrix()
     blocks = img.reshape(h // n, n, w // n, n).transpose(0, 2, 1, 3)
     coefs = t @ blocks @ t.T
     coefs = np.round(coefs / qstep) * qstep

@@ -55,7 +55,10 @@ class ChannelStats:
 
     @property
     def weighted_correlation(self) -> float:
-        return float(self.weight @ self.correlation)
+        # One minus the weighted deficit (the weights sum to 1): exactly 1.0
+        # when every channel correlates perfectly, with no drift from the
+        # round-off of the weight normalization.
+        return 1.0 - float(self.weight @ (1.0 - self.correlation))
 
 
 class _ReferenceTerms(NamedTuple):
@@ -136,14 +139,10 @@ def quality_from_stats(stats: ChannelStats, lam: float) -> float:
     """Blend the weighted MSE and correlation terms into one score.
 
     The result lies in [-lam, 1] and reaches 1 exactly when every weighted
-    channel is undistorted and perfectly correlated. The correlation term
-    is evaluated as one minus the weighted deficit (the weights sum to 1),
-    which keeps the undistorted case at exactly 1.0 instead of drifting by
-    the round-off of the weight normalization.
+    channel is undistorted and perfectly correlated.
     """
-    corr_term = 1.0 - float(stats.weight @ (1.0 - stats.correlation))
     return float((1.0 - lam) * np.exp(-stats.weighted_mse / C)
-                 + lam * corr_term)
+                 + lam * stats.weighted_correlation)
 
 
 @dataclass(frozen=True, eq=False)

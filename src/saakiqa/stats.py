@@ -29,6 +29,8 @@ _NM_SPREAD_TOL = 1e-10
 _NM_MAX_ITER = 20000
 # Logistic argument beyond which the sigmoid term is fully saturated.
 _LOGISTIC_CLIP = 500.0
+# Fewest paired points a logistic fit accepts.
+MIN_REGRESSION_N = 10
 
 
 def _vector(x, name: str) -> np.ndarray:
@@ -184,9 +186,14 @@ def logistic5_eval(beta, x):
     """
     b1, b2, b3, b4, b5 = np.asarray(beta, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    t = np.clip(b2 * (x - b3), -_LOGISTIC_CLIP, _LOGISTIC_CLIP)
-    q = b1 * (0.5 - 1.0 / (1.0 + np.exp(t))) + b4 * x + b5
+    q = b1 * _sigmoid(b2, b3, x) + b4 * x + b5
     return float(q) if q.ndim == 0 else q
+
+
+def _sigmoid(b2, b3, x):
+    """The curve's centred sigmoid 1/2 - 1/(1 + exp(b2*(x - b3))), clipped."""
+    t = np.clip(b2 * (x - b3), -_LOGISTIC_CLIP, _LOGISTIC_CLIP)
+    return 0.5 - 1.0 / (1.0 + np.exp(t))
 
 
 def _nelder_mead(fun, x0, max_iter):
@@ -256,20 +263,21 @@ def logistic5_fit(scores, mos) -> LogisticFit:
     mean(scores)), restarted around the incumbent until restarts stop
     improving or the 20000-iteration budget is spent. The profiling removes
     the b1*b2 non-identifiability ridge that stalls a plain 5-D simplex.
+    ``sse`` is that of :func:`logistic5_eval` at the returned ``beta``.
     Deterministic for identical input; ``converged=False`` flags budget
     exhaustion, with the best point so far still returned.
     """
     x, y = _pair(scores, mos)
-    if x.size < 10:
-        raise LengthMismatchError("need at least 10 points for regression")
+    if x.size < MIN_REGRESSION_N:
+        raise LengthMismatchError(
+            f"need at least {MIN_REGRESSION_N} points for regression")
     if np.all(x == x[0]):
         raise DegenerateVarianceError("constant scores cannot be regressed")
 
     ones = np.ones_like(x)
 
     def profile(nl):
-        t = np.clip(nl[0] * (x - nl[1]), -_LOGISTIC_CLIP, _LOGISTIC_CLIP)
-        design = np.column_stack([0.5 - 1.0 / (1.0 + np.exp(t)), x, ones])
+        design = np.column_stack([_sigmoid(nl[0], nl[1], x), x, ones])
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         r = design @ coef - y
         return float(r @ r), coef
@@ -289,7 +297,8 @@ def logistic5_fit(scores, mos) -> LogisticFit:
             converged = ok
             break
 
-    sse, coef = profile(best)
+    coef = profile(best)[1]
     beta = np.array([coef[0], best[0], best[1], coef[1], coef[2]])
-    return LogisticFit(beta=beta, sse=sse, converged=converged,
+    r = logistic5_eval(beta, x) - y
+    return LogisticFit(beta=beta, sse=float(r @ r), converged=converged,
                        iterations=total_iter)

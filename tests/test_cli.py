@@ -44,11 +44,36 @@ class TestScore:
         assert 0.0 < payload["score"] < 1.0
         assert len(payload["channels"]["weight"]) == 496
 
+    def test_json_terms_reproduce_score_exactly(self, image_pair, tmp_path, capsys):
+        ref, _ = image_pair
+        dist = str(tmp_path / "q.pgm")
+        for qstep in (16.0, 32.0, 128.0):
+            write_pgm(synth_distort(read_pgm(ref), qstep), dist)
+            for codec in ("jpeg", "jpeg2000"):
+                assert cli_main(["score", "--ref", ref, "--dist", dist,
+                                 "--codec", codec, "--json"]) == 0
+                payload = json.loads(capsys.readouterr().out)
+                lam = payload["lambda"]
+                assert payload["score"] == float(
+                    (1.0 - lam) * np.exp(-payload["weighted_mse"] / 400.0)
+                    + lam * payload["weighted_correlation"]), (qstep, codec)
+
     def test_lambda_flag_wins(self, image_pair, capsys):
         ref, dist = image_pair
         cli_main(["score", "--ref", ref, "--dist", dist, "--json",
                   "--lambda", "0.25"])
         assert json.loads(capsys.readouterr().out)["lambda"] == pytest.approx(0.25)
+
+    def test_lambda_outside_unit_interval_is_usage_error(self, image_pair, capsys):
+        # Checked by QualityConfig's own rule, for score and eval alike.
+        ref, dist = image_pair
+        for lam in ("1.5", "-0.1", "nan"):
+            for argv in (["score", "--ref", ref, "--dist", dist],
+                         ["eval", "--manifest", ref]):
+                assert cli_main(argv + ["--lambda", lam]) == 1
+                err = capsys.readouterr().err
+                assert "argument --lambda: lam must be in [0, 1]" in err
+                assert "Traceback" not in err
 
     def test_missing_image_is_data_error(self, tmp_path, capsys):
         assert cli_main(["score", "--ref", str(tmp_path / "no.pgm"),
@@ -144,6 +169,26 @@ class TestEval:
             err = capsys.readouterr().err
             assert "sigma must lie in [1.055e-154, 9.481e+153]" in err
             assert "Traceback" not in err
+
+    def test_codec_below_regression_minimum(self, small_manifest, tmp_path, capsys):
+        # Two jpeg2000 rows beside the ten jpeg ones: jpeg2000 gets no fit,
+        # so it is reported without statistics and left out of the scatter.
+        with small_manifest.open("a") as fh:
+            fh.write("r90.pgm,d90_8.pgm,1.0,jpeg2000\nr90.pgm,d90_64.pgm,2.0,jpeg2000\n")
+        out, scatter = tmp_path / "report.json", tmp_path / "scatter.tsv"
+        assert cli_main(["eval", "--manifest", str(small_manifest),
+                         "--out", str(out), "--scatter", str(scatter)]) == 0
+        printed = capsys.readouterr()
+        assert "jpeg2000: n=2 (no statistics)\n" in printed.out
+        assert printed.out.startswith("jpeg: n=10 plcc=")
+        assert printed.err == ("warning: jpeg2000: correlations omitted: "
+                               "2 scored records < 10\n")
+        codecs = json.loads(out.read_text())["codecs"]
+        assert codecs["jpeg2000"]["beta"] is None
+        assert codecs["jpeg"]["beta"] is not None
+        headers = [line for line in scatter.read_text().splitlines()
+                   if line.startswith("#")]
+        assert headers == ["# codec=jpeg n=10"]
 
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
         assert cli_main(["eval", "--manifest", str(tmp_path / "no.csv")]) == 2

@@ -87,6 +87,17 @@ class TestParseManifest:
         with pytest.raises(MalformedRowError, match="line 2"):
             parse_manifest(p)
 
+    def test_empty_path_or_non_finite_mos_names_line(self, tmp_path):
+        cases = [
+            (("", "b.pgm", 1.0, "jpeg"), "line 2: empty image path"),
+            (("a.pgm", " ", 1.0, "jpeg"), "line 2: empty image path"),
+            (("a.pgm", "b.pgm", "nan", "jpeg"), "line 2: non-finite mos"),
+            (("a.pgm", "b.pgm", "-inf", "jpeg"), "line 2: non-finite mos"),
+        ]
+        for row, match in cases:
+            with pytest.raises(MalformedRowError, match=match):
+                parse_manifest(_write_manifest(tmp_path, [row]))
+
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("ref,dist,mos,codec\na.pgm,b.pgm,1.5\n")

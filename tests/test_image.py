@@ -122,6 +122,23 @@ class TestReadPgm:
         with pytest.raises(FileNotFoundError):
             read_pgm(tmp_path / "nope.pgm")
 
+    def test_malformed_header_or_samples(self, tmp_path):
+        cases = [
+            (b"", MalformedHeaderError, "empty file"),
+            (b"P5\n2 2", MalformedHeaderError, "header ends early"),
+            (b"P5\nx 2\n255\n", MalformedHeaderError, "invalid width: b'x'"),
+            (b"P2\n1 1\n0\n0", MalformedHeaderError, "nonpositive maxval 0"),
+            # A P5 sample above a maxval below 255, and P2 samples outside
+            # 0..maxval on either side.
+            (b"P5\n2 1\n100\n" + bytes([100, 101]), TruncatedDataError,
+             "sample value exceeds declared maxval"),
+            (b"P2\n2 1\n10\n10 11", TruncatedDataError, r"sample 11 outside 0\.\.10"),
+            (b"P2\n1 1\n255\n-1", TruncatedDataError, r"sample -1 outside 0\.\.255"),
+        ]
+        for payload, error, match in cases:
+            with pytest.raises(error, match=match):
+                read_pgm(_write(tmp_path, "a.pgm", payload))
+
     def test_roundtrip_is_lossless(self, tmp_path):
         rng = np.random.default_rng(7)
         img = rng.integers(0, 256, (13, 17)).astype(np.float64)
@@ -130,6 +147,16 @@ class TestReadPgm:
         once = read_pgm(p)
         write_pgm(once, p)
         np.testing.assert_array_equal(read_pgm(p), img)
+
+
+class TestAsImage:
+    def test_rejects_non_2d_empty_or_non_finite(self):
+        for data in (np.zeros(4), np.zeros((2, 2, 1)), np.zeros((0, 3)), np.zeros((3, 0))):
+            with pytest.raises(ValueError, match="image must be a non-empty 2-D array"):
+                image.as_image(data)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="image contains non-finite values"):
+                image.as_image([[1.0, bad]])
 
 
 class TestCropToMultiple:
@@ -146,6 +173,11 @@ class TestCropToMultiple:
     def test_too_small(self):
         with pytest.raises(ImageTooSmallError):
             crop_to_multiple(np.zeros((10, 10)), 16)
+
+    def test_multiple_must_be_positive(self):
+        for m in (0, -8):
+            with pytest.raises(ValueError, match="m must be a positive integer"):
+                crop_to_multiple(np.zeros((16, 16)), m)
 
     def test_idempotent(self):
         img = np.arange(23 * 29, dtype=np.float64).reshape(23, 29)

@@ -102,11 +102,14 @@ class TestChannelStats:
 
     def test_identical_tensors(self):
         rng = np.random.default_rng(0)
-        f = rng.normal(0, 50, (6, 6, 4))
-        stats = channel_stats(f, f.copy())
-        np.testing.assert_array_equal(stats.mse, np.zeros(4))
-        np.testing.assert_allclose(stats.correlation, 1.0)
-        assert stats.weight.sum() == pytest.approx(1.0, abs=1e-12)
+        for shape in ((6, 6, 4), (6, 6, 31), (4, 4, 496)):
+            f = rng.normal(0, 50, shape)
+            stats = channel_stats(f, f.copy())
+            np.testing.assert_array_equal(stats.mse, np.zeros(shape[2]))
+            np.testing.assert_allclose(stats.correlation, 1.0)
+            assert stats.weight.sum() == pytest.approx(1.0, abs=1e-12)
+            # Exactly 1.0 even where the normalized weights do not sum to 1.0.
+            assert stats.weighted_correlation == 1.0, shape
 
     def test_equal_energy_channels_split_weight(self):
         t = np.zeros((2, 2, 2))

@@ -7,6 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from conftest import make_textured_image
 
 from saakiqa import saak
+from saakiqa.saak import extract_feature_windows
 from saakiqa import (
     GeometryMismatchError,
     ImageTooSmallError,
@@ -16,7 +17,6 @@ from saakiqa import (
     QualityConfig,
     assess,
     channel_stats,
-    extract_feature_windows,
     extract_training_patches,
     forward,
     forward_stage,
@@ -221,6 +221,17 @@ class TestSpPsConversion:
         with pytest.raises(InvalidPairError):
             ps_convert(t)
 
+    def test_tensors_must_be_3d(self):
+        for convert in (sp_convert, ps_convert):
+            for t in (np.zeros((4, 4)), np.zeros((1, 1, 1, 3))):
+                with pytest.raises(GeometryMismatchError, match="must be 3-D"):
+                    convert(t)
+
+    def test_even_channel_count_rejected(self):
+        with pytest.raises(GeometryMismatchError,
+                           match="needs an odd channel count, got 4"):
+            ps_convert(np.zeros((1, 1, 4)))
+
     def test_ps_merges(self):
         t = np.array([[[7.0, 3.0, 0.0, 0.0, 2.0]]])
         out = ps_convert(t)
@@ -383,6 +394,14 @@ class TestFullTransform:
             forward(np.zeros((60, 64)), model)
         with pytest.raises(GeometryMismatchError):
             inverse(np.zeros((4, 4, 495)), model)
+
+    def test_inverse_must_end_in_one_channel(self):
+        # A model whose first stage reads two channels inverts a valid
+        # coefficient tensor to a two-channel grid, which is no image.
+        model = saak.SaakModel(stages=(_random_stage(seed=26, channels=2),))
+        with pytest.raises(GeometryMismatchError,
+                           match="tensor does not match the model geometry"):
+            inverse(np.zeros((1, 1, 32)), model)
 
 
 class TestTrainModel:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -70,6 +71,20 @@ def _kendall_sign_matrix_oracle(x, y):
                       np.unique(b, return_counts=True)[1])]
     denom = np.sqrt((n0 - ties[0]) * (n0 - ties[1]))
     return float(np.clip(s / denom, -1.0, 1.0))
+
+
+def test_non_finite_input_rejected():
+    x = np.arange(12.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        y = x.copy()
+        y[3] = bad
+        with pytest.raises(ValueError, match="x contains non-finite values"):
+            rankdata(y)
+        for fn in (pearson, spearman, kendall_tau_b, logistic5_fit):
+            with pytest.raises(ValueError, match="y contains non-finite values"):
+                fn(x, y)
+            with pytest.raises(ValueError, match="x contains non-finite values"):
+                fn(y, x)
 
 
 class TestPearson:
@@ -292,11 +307,27 @@ class TestLogisticEval:
 class TestLogisticFit:
     def test_exact_recovery(self):
         beta_true = np.array([2.0, 1.0, 0.5, 0.1, 3.0])
-        x = np.linspace(-3.0, 4.0, 50)
-        y = logistic5_eval(beta_true, x)
-        fit = logistic5_fit(x, y)
-        assert fit.sse <= 1e-10
-        assert pearson(logistic5_eval(fit.beta, x), y) >= 1.0 - 1e-9
+        # On the second grid mean(scores) is exactly 0, so the search starts
+        # at b3 = 0 and the simplex steps off that zero coordinate by a fixed
+        # offset instead of by 5 %.
+        for x in (np.linspace(-3.0, 4.0, 50), np.arange(-20.0, 21.0) / 4.0):
+            y = logistic5_eval(beta_true, x)
+            fit = logistic5_fit(x, y)
+            assert fit.sse <= 1e-10
+            assert pearson(logistic5_eval(fit.beta, x), y) >= 1.0 - 1e-9
+
+    def test_sse_is_that_of_the_returned_beta(self):
+        # The ridge example (b1 ~ -7.9e13) is where an SSE taken from the
+        # fit's own least-squares design drifted from the returned curve's.
+        ridge_x = np.sort(1.0 - np.geomspace(2e-4, 2e-2, 20))
+        ridge_y = np.round(20.0 + 3000.0 * (ridge_x - ridge_x.min())
+                           + np.random.default_rng(1).normal(0, 5, 20), 1)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=40)
+        for xs, ys in ((ridge_x, ridge_y), (x, np.tanh(x) + 0.1 * rng.normal(size=40))):
+            fit = logistic5_fit(xs, ys)
+            r = logistic5_eval(fit.beta, xs) - ys
+            assert fit.sse == float(r @ r)
 
     def test_linear_subfamily(self):
         x = np.linspace(0, 10, 30)
