@@ -16,11 +16,11 @@ import json
 import sys
 
 from ._version import __version__
-from .config import CODEC_LAMBDAS, QualityConfig
 from .errors import DATA_ERRORS
-from .harness import emit_report, parse_manifest, run_eval, synth_distort
+from .harness import (DCT_SIZE, checked_qstep, emit_report, parse_manifest, run_eval,
+                      synth_distort)
 from .image import crop_to_multiple, read_pgm, write_pgm
-from .metric import assess
+from .metric import CODEC_LAMBDAS, QualityConfig, assess
 
 
 class _UsageError(Exception):
@@ -36,26 +36,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"{text} is not a positive finite number")
-    return value
-
-
-def _checked(**setting) -> QualityConfig:
-    try:  # the library's own rule for the setting
-        return QualityConfig(**setting)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _lam(text: str) -> float:
-    return _checked(lam=float(text)).lam
-
-
-def _sigma(text: str) -> float:
-    return _checked(sigma=float(text)).sigma
+def _checked(rule):
+    """An argparse type: ``rule(float(text))``, where ``rule`` is the
+    library's own check of the setting. Its ``ValueError``, or
+    ``float()``'s, becomes a usage error with that message."""
+    def parse(text: str):
+        try:
+            return rule(float(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,12 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"saakiqa {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    lam = _checked(lambda v: QualityConfig(lam=v).lam)
 
     score = sub.add_parser("score", help="score one reference/distorted pair")
     score.add_argument("--ref", required=True, help="reference PGM")
     score.add_argument("--dist", required=True, help="distorted PGM")
     score.add_argument("--codec", choices=sorted(CODEC_LAMBDAS), default="jpeg")
-    score.add_argument("--lambda", dest="lam", type=_lam,
+    score.add_argument("--lambda", dest="lam", type=lam,
                        help="override the codec's blend factor")
     score.add_argument("--json", action="store_true",
                        help="print score plus channel diagnostics as JSON")
@@ -78,15 +69,16 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", help="write the full report as JSON")
     ev.add_argument("--csv", help="write per-record rows as CSV")
     ev.add_argument("--scatter", help="write per-codec scatter TSV")
-    ev.add_argument("--lambda", dest="lam", type=_lam,
+    ev.add_argument("--lambda", dest="lam", type=lam,
                     help="blend factor for every record (overrides codec defaults)")
-    ev.add_argument("--sigma", type=_sigma, default=QualityConfig.sigma,
+    ev.add_argument("--sigma", type=_checked(lambda v: QualityConfig(sigma=v).sigma),
+                    default=QualityConfig.sigma,
                     help="Gaussian pre-filter sigma (default %(default)s)")
 
     dist = sub.add_parser("distort", help="apply block-DCT quantization")
     dist.add_argument("--in", dest="infile", required=True, help="input PGM")
     dist.add_argument("--out", required=True, help="output PGM")
-    dist.add_argument("--qstep", type=_positive_float, required=True,
+    dist.add_argument("--qstep", type=_checked(checked_qstep), required=True,
                       help="quantization step")
     return parser
 
@@ -132,7 +124,7 @@ def _do_eval(args) -> int:
 
 
 def _do_distort(args) -> int:
-    img = crop_to_multiple(read_pgm(args.infile), 8)
+    img = crop_to_multiple(read_pgm(args.infile), DCT_SIZE)
     write_pgm(synth_distort(img, args.qstep), args.out)
     return 0
 

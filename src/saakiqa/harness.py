@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .config import CODEC_LAMBDAS, QualityConfig
 from .errors import (
     DATA_ERRORS,
     GeometryMismatchError,
@@ -33,7 +32,7 @@ from .errors import (
     SaakIqaError,
 )
 from .image import as_image, filter_radius, read_pgm
-from .metric import C, H, assess, prepare_reference
+from .metric import C, CODEC_LAMBDAS, H, QualityConfig, assess, prepare_reference
 from .saak import BLOCK_SIZE, NUM_STAGES, STD_THRESHOLD, TRAIN_STRIDE
 from .stats import (MIN_REGRESSION_N, kendall_tau_b, logistic5_eval, logistic5_fit,
                     pearson, psnr, spearman)
@@ -292,30 +291,38 @@ def _config_echo(sigma: float, lam_override: float | None) -> dict:
     }
 
 
-_DCT_SIZE = 8
+# Side of the blocks the synthetic distorter transforms and quantizes.
+DCT_SIZE = 8
 
 
 def _dct_matrix() -> np.ndarray:
-    n = _DCT_SIZE
+    n = DCT_SIZE
     k = np.arange(n, dtype=np.float64)
     t = np.sqrt(2.0 / n) * np.cos(np.pi * (2.0 * k[None, :] + 1.0) * k[:, None] / (2.0 * n))
     t[0] /= np.sqrt(2.0)
     return t
 
 
+def checked_qstep(qstep: float) -> float:
+    """Return ``qstep`` if it is a usable quantization step (positive and
+    finite); raise ``ValueError`` otherwise."""
+    if not 0 < qstep < math.inf:
+        raise ValueError("qstep must be positive and finite")
+    return qstep
+
+
 def synth_distort(img, qstep: float) -> np.ndarray:
     """Compression-like distortion: per-block DCT coefficient quantization.
 
-    Each non-overlapping 8x8 block is transformed by the orthonormal 2-D
-    DCT-II, uniformly quantized with step ``qstep``, inverse transformed,
-    and clamped to [0, 255]. Small steps approach identity; large steps
-    produce blocking artifacts.
+    Each non-overlapping ``DCT_SIZE`` x ``DCT_SIZE`` block is transformed
+    by the orthonormal 2-D DCT-II, uniformly quantized with step ``qstep``
+    (:func:`checked_qstep`), inverse transformed, and clamped to [0, 255].
+    Small steps approach identity; large steps produce blocking artifacts.
     """
     img = as_image(img)
-    if not 0 < qstep < math.inf:
-        raise ValueError("qstep must be positive and finite")
+    checked_qstep(qstep)
     h, w = img.shape
-    n = _DCT_SIZE
+    n = DCT_SIZE
     if h % n or w % n:
         raise GeometryMismatchError(f"{w}x{h} image not divisible by {n}")
     t = _dct_matrix()

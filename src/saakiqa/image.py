@@ -191,10 +191,13 @@ def gaussian_filter(img, sigma: float) -> np.ndarray:
     Taps are sampled at offsets ``-r..r`` with ``r = filter_radius(sigma)``
     and normalized to sum to one. Border samples are mirrored
     edge-inclusively, so constant images are exact fixed points and output
-    dimensions equal input dimensions.
+    dimensions equal input dimensions. Raises ``ValueError``, before any
+    taps are built, when ``sigma`` exceeds the image's longer side.
     """
     img = as_image(img)
     radius = filter_radius(sigma)
+    if sigma > max(img.shape):
+        raise ValueError(f"sigma {sigma!r} exceeds the image's longer side {max(img.shape)}")
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     taps = np.exp(-(x * x) / (2.0 * sigma * sigma))
     taps /= taps.sum()

@@ -16,24 +16,58 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import QualityConfig
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     GeometryMismatchError,
+    SaakIqaError,
 )
-from .image import as_image, crop_to_multiple, gaussian_filter
+from .image import as_image, crop_to_multiple, filter_radius, gaussian_filter
 from .saak import TILE, SaakModel, forward, train_model
 
 # The paper's fixed scales c and h of the score formula above.
 C = 400.0
 H = 100.0
 
+# Blend factor tuned per codec family: blockiness (jpeg) favors the MSE
+# term, ringing (jpeg2000) the correlation term.
+CODEC_LAMBDAS = {"jpeg": 0.7, "jpeg2000": 0.2}
+
 # Spatial maps with population variance below this count as constant for
 # the correlation term.
 _VAR_EPS = 1e-12
 _MEAN_EPS = 1e-9
 _WEIGHT_EPS = 1e-12
+
+
+@dataclass(frozen=True)
+class QualityConfig:
+    """The two settings of the scoring pipeline; the rest is fixed design.
+
+    ``lam`` is the MSE/correlation blend weight in [0, 1]. ``sigma`` is the
+    standard deviation of the Gaussian pre-filter, as ``filter_radius``
+    accepts it; its window radius is ``ceil(3 * sigma)`` and its borders
+    are always reflected. The transform geometry lives in
+    :mod:`saakiqa.saak` and the score scales are ``C`` and ``H`` above.
+    """
+
+    lam: float = CODEC_LAMBDAS["jpeg"]
+    sigma: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError("lam must be in [0, 1]")
+        filter_radius(self.sigma)  # raises ValueError on an unusable sigma
+
+    @classmethod
+    def for_codec(cls, codec: str, lam: float | None = None,
+                  sigma: float = sigma) -> "QualityConfig":
+        """The one resolver of the blend factor: ``lam`` when given, else the
+        codec's tuned default; a codec without one (``other``) raises
+        :class:`SaakIqaError`. ``sigma`` defaults to the field default."""
+        if lam is None and codec not in CODEC_LAMBDAS:
+            raise SaakIqaError(f"codec {codec!r} has no default lambda; pass an override")
+        return cls(CODEC_LAMBDAS[codec] if lam is None else lam, sigma)
 
 
 @dataclass(frozen=True, eq=False)

@@ -55,17 +55,21 @@ class SaakStage:
     ``kernels`` stacks the full orthonormal basis as rows: row 0 is the DC
     kernel ``(1/sqrt(d), ...)``, rows 1..d-1 the AC kernels by descending
     eigenvalue. ``eigenvalues`` holds the d-1 AC eigenvalues (non-negative,
-    non-increasing).
+    non-increasing). ``dim`` (d) and ``input_channels`` are read off the
+    kernels.
     """
 
-    input_channels: int
     block_size: int
     kernels: np.ndarray
     eigenvalues: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.block_size * self.block_size * self.input_channels
+        return self.kernels.shape[0]
+
+    @property
+    def input_channels(self) -> int:
+        return self.dim // (self.block_size * self.block_size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +238,6 @@ def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
     ac = _fix_signs((basis @ evecs[:, order]).T)
     kernels = np.vstack([np.full(d, 1.0 / np.sqrt(d)), ac])
     return SaakStage(
-        input_channels=input_channels,
         block_size=block_size,
         kernels=kernels,
         eigenvalues=np.maximum(evals[order], 0.0),

@@ -101,10 +101,27 @@ class TestDistort:
                          "--qstep", "16"]) == 0
         assert read_pgm(dst).shape == (64, 64)
 
-    def test_negative_qstep_is_usage_error(self, tmp_path):
+    def test_negative_qstep_is_usage_error(self, tmp_path, capsys):
         for qstep in ("-4", "inf"):
             assert cli_main(["distort", "--in", "x", "--out", "y",
                              "--qstep", qstep]) == 1
+            err = capsys.readouterr().err
+            assert "argument --qstep: qstep must be positive and finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["score", "--ref", "r", "--dist", "d", "--lambda", "abc"],
+    ["eval", "--manifest", "m", "--lambda", "abc"],
+    ["eval", "--manifest", "m", "--sigma", "abc"],
+    ["distort", "--in", "x", "--out", "y", "--qstep", "abc"],
+])
+def test_unparsable_number_is_usage_error(argv, capsys):
+    # float()'s own message, under the flag's name, and no internal name.
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: could not convert string to float: 'abc'" in err
+    for internal in ("Traceback", "invalid", "_lam", "_sigma", "_positive_float"):
+        assert internal not in err
 
 
 class TestEval:

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,6 +332,20 @@ class TestGaussianFilter:
     def test_single_pixel(self):
         out = gaussian_filter(np.array([[42.0]]), 1.0)
         np.testing.assert_allclose(out, 42.0, atol=1e-12)
+
+    def test_sigma_beyond_image_raises_before_building_taps(self):
+        # filter_radius accepts 1e9 (a 6e9-tap window); the image-side
+        # check refuses it before any of that is allocated.
+        img = np.zeros((16, 16))
+        assert np.array_equal(gaussian_filter(img, 16.0), img)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="longer side 16"):
+                gaussian_filter(img, 1e9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_row_mean_preserved_for_constant_columns(self):
         # Columns constant: vertical pass is exact; horizontal reflection

@@ -320,7 +320,7 @@ REGRESSION_LOCK_SCORES_BY_SIGMA = {
 }
 
 
-class TestReferenceEnergySpectrum:
+class TestPreparedReferenceEnergy:
     def test_length_and_compaction(self, textured_image):
         e = prepare_reference(textured_image(33, 64, 64)).terms.mean_square
         assert e.shape == (496,)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import saakiqa
 from conftest import make_textured_image
@@ -21,6 +22,23 @@ def test_all_matches_public_bindings():
     public = {name for name, value in vars(saakiqa).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert set(names) - {"__version__"} == public
+
+
+def test_settings_live_beside_the_score_they_set():
+    # QualityConfig and CODEC_LAMBDAS are defined in metric, with C and H.
+    assert saakiqa.QualityConfig is saakiqa.metric.QualityConfig
+    assert saakiqa.CODEC_LAMBDAS is saakiqa.metric.CODEC_LAMBDAS
+    assert importlib.util.find_spec("saakiqa.config") is None
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+def test_version_has_one_owner():
+    # pyproject.toml reads the version from saakiqa._version at build time.
+    pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = pyproject.read_configuration(path, expand=True)
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["project"]["version"] == saakiqa.__version__
 
 
 def test_array_dataclasses_compare_by_identity():

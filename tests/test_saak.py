@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -95,6 +96,16 @@ class TestExtractTrainingPatches:
 
 
 class TestTrainStage:
+    def test_stage_stores_kernels_not_derived_sizes(self):
+        # dim and input_channels are read off the kernels, so they cannot
+        # disagree with them.
+        samples = np.random.default_rng(3).normal(size=(40, 12))
+        stage = train_stage(samples, block_size=2, input_channels=3)
+        fields = [f.name for f in dataclasses.fields(stage)]
+        assert fields == ["block_size", "kernels", "eigenvalues"]
+        assert stage.dim == stage.kernels.shape[0] == 12
+        assert stage.input_channels == 3
+
     def test_two_dim_closed_form(self):
         samples = np.array([[0.0, 2.0], [2.0, 0.0], [4.0, -2.0], [-2.0, 4.0]])
         stage = train_stage(samples, block_size=1, input_channels=2)
@@ -507,7 +518,7 @@ class TestTrainModel:
         np.testing.assert_array_equal(wins[0], expected)
 
 
-class TestEnergySpectrum:
+class TestChannelEnergyCompaction:
     def test_energy_compaction(self, textured_image):
         img = textured_image(28, 64, 64)
         model = train_model(img)
