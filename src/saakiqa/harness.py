@@ -238,7 +238,8 @@ def run_eval(records: list[EvalRecord], *, sigma: float = QualityConfig.sigma,
     ``lam_override`` raises ``ValueError`` before any file is read.
     Per-record failures become row-level error entries;
     :class:`NoValidRecordsError` is raised only when there are no records
-    or nothing at all could be scored. Rows are scored grouped by
+    or nothing at all could be scored; the latter names the first failed
+    row as the report's warnings would. Rows are scored grouped by
     reference, each reference read and trained once; output order follows
     the input order.
     """
@@ -255,8 +256,10 @@ def run_eval(records: list[EvalRecord], *, sigma: float = QualityConfig.sigma,
         for i, result in zip(rows, scored):
             results[i] = result
 
-    if not any(r.ok for r in results):
-        raise NoValidRecordsError("every record failed to score")
+    failures = [f"record {i} ({os.path.basename(r.record.dist_path)}): {r.error}"
+                for i, r in enumerate(results) if not r.ok]
+    if len(failures) == len(results):
+        raise NoValidRecordsError(f"every record failed to score; {failures[0]}")
 
     codecs: dict[str, CodecResult] = {}
     for codec in sorted({r.record.codec for r in results}):
@@ -264,9 +267,7 @@ def run_eval(records: list[EvalRecord], *, sigma: float = QualityConfig.sigma,
         codecs[codec] = _codec_stats([r for r in of_codec if r.ok], len(of_codec))
 
     warnings = [f"{name}: {c.warning}" for name, c in codecs.items() if c.warning]
-    warnings.extend(
-        f"record {i} ({os.path.basename(r.record.dist_path)}): {r.error}"
-        for i, r in enumerate(results) if not r.ok)
+    warnings.extend(failures)
     return EvalReport(
         results=results,
         codecs=codecs,

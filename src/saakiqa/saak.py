@@ -47,6 +47,11 @@ TRAIN_STRIDE = 2
 STD_THRESHOLD = 2.0
 TILE = BLOCK_SIZE ** NUM_STAGES
 
+# Float64 values in the one buffer train_stage centres its samples into
+# (16 MiB): the smallest power of two that holds a 272x272 reference's
+# stage-2 windows, so references up to that size are centred in one block.
+_CENTRED_BLOCK = 1 << 21
+
 
 @dataclass(frozen=True, eq=False)
 class SaakStage:
@@ -108,8 +113,8 @@ def extract_feature_windows(features, block: int, stride: int = 1) -> np.ndarray
     channels * block**2)`` rows in the package's block vectorization order:
     62 MB for the stage-2 windows of a 512x512 reference. :func:`train_model`
     does not call this; it hands :func:`train_stage` the zero-copy window
-    view instead. Raises ``ValueError`` when ``block`` or ``stride`` is
-    below 1.
+    view, which never holds more than one 16 MiB block of these rows.
+    Raises ``ValueError`` when ``block`` or ``stride`` is below 1.
     """
     wins = _windows(_as_features(features), block, stride)
     return np.ascontiguousarray(
@@ -171,7 +176,8 @@ def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
     input_channels, block_size, block_size)`` array of windows such as the
     zero-copy ``sliding_window_view`` of a feature grid, which counts as
     ``n = rows * cols`` samples in the package's vectorization order. Both
-    give the same kernels bit for bit.
+    give the same kernels bit for bit while the samples fit one centring
+    block (below), and agree to round-off beyond it.
 
     The DC kernel is the normalized constant vector. AC kernels are the
     eigenvectors of the population covariance (about the ensemble mean) of
@@ -182,8 +188,13 @@ def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
     That covariance is computed as ``B.T @ C @ B``, with ``C`` the centred
     input-space covariance and ``B`` the DC-complement basis: d³ work
     rather than the n·d² of projecting every sample, and no n x (d-1) copy.
-    The one n x d array allocated is the centred copy of the samples, and
-    it is freed once its d x d Gram is formed.
+    ``C`` is summed from the Grams of centred blocks of whole leading-axis
+    rows (sample rows, or window rows for the window view), each centred
+    into one reused buffer of at most ``_CENTRED_BLOCK`` float64 (16 MiB;
+    one row if a single row is larger), so memory beyond the d x d
+    matrices does not grow with n. Up to 2**21 values (a 272x272
+    reference's stage-2 windows) are one block: one centring and one Gram
+    product, the same bits as an unbounded buffer.
     Raises :class:`DimensionMismatchError` for a block size or channel
     count below 1 and ``ValueError`` for NaN or infinite samples.
     """
@@ -222,14 +233,22 @@ def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
     # matrix instead of projecting all n samples. Centring before the Gram
     # product keeps bright low-contrast content exact; x.T @ x / n - mu mu^T
     # cancels digits there (scores move by ~1e-11 instead of ~1e-15).
-    # A C-ordered output buffer makes the reshape a view: ``x - mean`` on
-    # a strided window view allocates in its stride order and would be
-    # copied a second time by the reshape. That centred matrix is released
-    # as soon as its Gram is formed, before the d x d temporaries of the
-    # rotation are allocated.
-    xc = np.subtract(x, mean, out=np.empty(x.shape)).reshape(n, d)
-    gram = xc.T @ xc
-    del xc
+    # Each block of leading-axis rows is centred into the same C-ordered
+    # buffer, whose reshape is then a view (``x - mean`` on a strided
+    # window view would allocate in its stride order), and the block Grams
+    # are summed.
+    rows = x.shape[0]
+    step = max(1, min(rows, _CENTRED_BLOCK // (x.size // rows)))
+    buf = np.empty((step,) + x.shape[1:])
+    for start in range(0, rows, step):
+        block = buf[:min(step, rows - start)]
+        np.subtract(x[start:start + step], mean, out=block)
+        xc = block.reshape(-1, d)
+        if start:
+            gram += xc.T @ xc
+        else:
+            gram = xc.T @ xc
+    del buf, block, xc
     gram /= n
     basis = _dc_complement_basis(d)
     cov = basis.T @ gram @ basis
@@ -358,10 +377,10 @@ def train_model(ref) -> SaakModel:
     Stage 1 trains on overlapped pixel patches passing the texture filter;
     later stages train on stride-1 windows of the previous stage's
     S/P-converted output with no variance filter. Those windows reach
-    :func:`train_stage` as a zero-copy view of the feature grid, so peak
-    memory is about one centred n x d window matrix (62 MB at 512x512),
-    and the stage-1 patches are freed before stage 2 starts. Deterministic
-    for identical input.
+    :func:`train_stage` as a zero-copy view of the feature grid, which it
+    centres in blocks of at most 16 MiB, so no n x d window matrix (62 MB
+    at 512x512) is ever allocated, and the stage-1 patches are freed
+    before stage 2 starts. Deterministic for identical input.
     """
     ref = as_image(ref)
     stages = [train_stage(

@@ -187,6 +187,22 @@ class TestEval:
             assert "sigma must lie in [1.055e-154, 9.481e+153]" in err
             assert "Traceback" not in err
 
+    def test_no_scored_record_names_first_row_error(self, tmp_path, capsys):
+        # A sigma the library accepts but no 256x256 image can take fails
+        # every row; the error then says why, in the warnings' row form.
+        ref = make_textured_image(92, 256, 256)
+        write_pgm(ref, tmp_path / "r.pgm")
+        write_pgm(synth_distort(ref, 32.0), tmp_path / "d.pgm")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("ref,dist,mos,codec\nr.pgm,d.pgm,1.0,jpeg\n"
+                            "r.pgm,r.pgm,2.0,jpeg\n")
+        assert cli_main(["eval", "--manifest", str(manifest),
+                         "--sigma", "1e9"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("saakiqa: error: every record failed to score; record 0 "
+                       "(d.pgm): ValueError: sigma 1000000000.0 exceeds the "
+                       "image's longer side 256\n")
+
     def test_codec_below_regression_minimum(self, small_manifest, tmp_path, capsys):
         # Two jpeg2000 rows beside the ten jpeg ones: jpeg2000 gets no fit,
         # so it is reported without statistics and left out of the scatter.

@@ -192,7 +192,7 @@ def _impulse_response(sigma, size=31):
     return gaussian_filter(img, sigma)
 
 
-class TestFilterSpec:
+class TestSigmaSetsRadius:
     # The filter is specified by sigma alone: radius ceil(3*sigma),
     # reflected borders.
     def test_kernel_normalized_and_nonnegative(self):

@@ -60,6 +60,21 @@ def _oracle_inputs():
     return [(noise, 4, 1), (windows, 4, 31), (deficient, 4, 31)]
 
 
+def _assert_same_stage(got, want):
+    """Stages equal to round-off: eigenvalues within 1e-12 of the largest,
+    kernels of non-zero eigenvalues within 1e-12, and the same null space
+    (any orthonormal basis of it is valid, so its projector is compared)."""
+    top = want.eigenvalues[0]
+    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues,
+                               rtol=0, atol=1e-12 * top)
+    rank = 1 + int(np.sum(want.eigenvalues > 1e-9 * top))
+    np.testing.assert_allclose(got.kernels[:rank], want.kernels[:rank],
+                               rtol=0, atol=1e-12)
+    null_got, null_want = got.kernels[rank:], want.kernels[rank:]
+    np.testing.assert_allclose(null_got.T @ null_got, null_want.T @ null_want,
+                               rtol=0, atol=1e-12)
+
+
 class TestExtractTrainingPatches:
     def test_block_and_stride_must_be_positive(self):
         img = np.arange(64, dtype=np.float64).reshape(8, 8)
@@ -488,11 +503,12 @@ class TestTrainModel:
             assert np.array_equal(got.kernels, want.kernels)
             assert np.array_equal(got.eigenvalues, want.eigenvalues)
 
-    def test_peak_memory_one_window_matrix(self):
+    def test_peak_memory_bounded_by_centred_block(self):
         # At 512x512 the stage-2 window matrix is n x d float64 with
-        # n = 125**2 windows of d = 496: 62 MB. Training may hold one
-        # centred copy of it plus the small grids, not a second copy, and
-        # frees it before the d x d temporaries of the rotation.
+        # n = 125**2 windows of d = 496: 62 MB. Training centres it in
+        # blocks of at most 16 MiB, so the peak (about 0.4x the window
+        # matrix, stage 2's buffer plus the small grids) stays well below
+        # one centred copy of it.
         img = make_textured_image(34, 512, 512)
         grid = 512 // saak.BLOCK_SIZE - saak.BLOCK_SIZE + 1
         window_bytes = grid * grid * 496 * 8
@@ -502,7 +518,33 @@ class TestTrainModel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.15 * window_bytes
+        assert peak < 0.5 * window_bytes
+
+    def test_centring_blocks_match_one_block(self, monkeypatch):
+        # A bound of 5 window rows splits a 64x64 reference's 13 rows of
+        # stage-2 windows (13 x 496 values each) into blocks of 5, 5 and 3;
+        # a bound of 128 rows splits 300 flat 16-value samples into 128,
+        # 128 and 44. Both must match one unbounded block to round-off.
+        ref = make_textured_image(31, 64, 64)
+        flat = np.random.default_rng(41).normal(0, 30, (300, 16))
+
+        def trained(bound, train):
+            monkeypatch.setattr(saak, "_CENTRED_BLOCK", bound)
+            return train()
+
+        for bound, train in ((5 * 13 * 496, lambda: train_model(ref).stages[1]),
+                             (128 * 16, lambda: train_stage(flat, 4))):
+            _assert_same_stage(trained(bound, train), trained(1 << 62, train))
+
+    def test_reference_of_256_is_one_centring_block(self, monkeypatch):
+        # Eval-size references (3721 x 496 stage-2 windows) fit the default
+        # bound, so their kernels are the unbounded buffer's bit for bit.
+        ref = make_textured_image(35, 256, 256)
+        default = train_model(ref)
+        monkeypatch.setattr(saak, "_CENTRED_BLOCK", 1 << 62)
+        for got, want in zip(default.stages, train_model(ref).stages):
+            assert np.array_equal(got.kernels, want.kernels)
+            assert np.array_equal(got.eigenvalues, want.eigenvalues)
 
     def test_feature_windows_block_and_stride_must_be_positive(self):
         f = np.zeros((6, 6, 3))

@@ -362,7 +362,7 @@ class TestLogisticFit:
             logistic5_fit(np.arange(5.0), np.arange(5.0))
 
 
-def _plcc_after_regression(x, y):
+def _plcc_of_fitted_curve(x, y):
     # The per-codec sequence of the batch harness: fit, map, correlate.
     return pearson(logistic5_eval(logistic5_fit(x, y).beta, x), y)
 
@@ -371,23 +371,23 @@ class TestPlccAfterRegression:
     def test_perfect_fit(self):
         beta = np.array([1.5, 2.0, 0.0, -0.2, 4.0])
         x = np.linspace(-2, 2, 40)
-        assert _plcc_after_regression(x, logistic5_eval(beta, x)) >= 1 - 1e-9
+        assert _plcc_of_fitted_curve(x, logistic5_eval(beta, x)) >= 1 - 1e-9
 
     def test_noise_is_uncorrelated(self):
         rng = np.random.default_rng(42)
         x = rng.normal(size=1000)
         y = rng.normal(size=1000)
-        assert abs(_plcc_after_regression(x, y)) < 0.1
+        assert abs(_plcc_of_fitted_curve(x, y)) < 0.1
 
     def test_beats_raw_pearson_on_monotone_nonlinearity(self):
         rng = np.random.default_rng(7)
         x = np.sort(rng.normal(0, 2.0, size=200))
         y = np.tanh(x)
-        assert _plcc_after_regression(x, y) > pearson(x, y)
+        assert _plcc_of_fitted_curve(x, y) > pearson(x, y)
 
     def test_at_least_absolute_pearson(self):
         for seed in (8, 9, 10):
             rng = np.random.default_rng(seed)
             x = rng.normal(size=60)
             y = 0.5 * x + rng.normal(size=60)
-            assert _plcc_after_regression(x, y) >= abs(pearson(x, y)) - 1e-9
+            assert _plcc_of_fitted_curve(x, y) >= abs(pearson(x, y)) - 1e-9
