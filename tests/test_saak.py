@@ -1,6 +1,10 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,6 +434,22 @@ class TestFullTransform:
             inverse(np.zeros((1, 1, 32)), model)
 
 
+def _window_matrix_oracle(ref):
+    """Stage 1, stage 2 trained on the contiguous window matrix from
+    :func:`extract_feature_windows`, and the S/P grid it came from."""
+    stage1 = train_stage(extract_training_patches(
+        ref, saak.BLOCK_SIZE, saak.TRAIN_STRIDE, saak.STD_THRESHOLD), 4)
+    f = sp_convert(forward_stage(ref[:, :, None], stage1))
+    return stage1, train_stage(extract_feature_windows(f, 4), 4, 31), f
+
+
+def _assert_identical_stages(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.kernels, w.kernels)
+        assert np.array_equal(g.eigenvalues, w.eigenvalues)
+
+
 class TestTrainModel:
     def test_defaults(self, textured_image):
         assert (saak.BLOCK_SIZE, saak.NUM_STAGES, saak.TRAIN_STRIDE) == (4, 2, 2)
@@ -444,11 +464,7 @@ class TestTrainModel:
 
     def test_training_is_bitwise_deterministic(self, textured_image):
         img = textured_image(26, 64, 64)
-        m1 = train_model(img)
-        m2 = train_model(img)
-        for s1, s2 in zip(m1.stages, m2.stages):
-            assert np.array_equal(s1.kernels, s2.kernels)
-            assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
+        _assert_identical_stages(train_model(img).stages, train_model(img).stages)
 
     def test_tied_eigenvalues_periodic_reference(self):
         # A 4-periodic image has 4 distinct stage-1 patches and spatially
@@ -478,30 +494,56 @@ class TestTrainModel:
         # Oracle: the explicit path, stage 2 trained on the contiguous
         # window matrix from extract_feature_windows. Training from the
         # zero-copy window view must give the same bits.
-        def oracle(ref):
-            stage1 = train_stage(extract_training_patches(
-                ref, saak.BLOCK_SIZE, saak.TRAIN_STRIDE, saak.STD_THRESHOLD), 4)
-            f = sp_convert(forward_stage(ref[:, :, None], stage1))
-            return stage1, train_stage(extract_feature_windows(f, 4), 4, 31), f
-
         rng = np.random.default_rng(40)
         refs = [make_textured_image(31, 64, 64), make_textured_image(32, 96, 160),
                 make_textured_image(33, 208, 112),
                 np.tile(np.floor(rng.uniform(0, 256, (4, 4))), (16, 16))]
         grids = [_bright_features()]
         for ref in refs:
-            stage1, stage2, f = oracle(ref)
+            stage1, stage2, f = _window_matrix_oracle(ref)
             grids.append(f)
-            for got, want in zip(train_model(ref).stages, (stage1, stage2)):
-                assert np.array_equal(got.kernels, want.kernels)
-                assert np.array_equal(got.eigenvalues, want.eigenvalues)
+            _assert_identical_stages(train_model(ref).stages, (stage1, stage2))
         for f in grids:
             view = sliding_window_view(f, (4, 4), axis=(0, 1))
             flat = extract_feature_windows(f, 4)
             assert np.shares_memory(view, f)
-            got, want = train_stage(view, 4, 31), train_stage(flat, 4, 31)
-            assert np.array_equal(got.kernels, want.kernels)
-            assert np.array_equal(got.eigenvalues, want.eigenvalues)
+            _assert_identical_stages([train_stage(view, 4, 31)],
+                                     [train_stage(flat, 4, 31)])
+
+    @pytest.mark.parametrize("height, width, rows_per_block", [
+        (64, 64, 5), (96, 160, 3), (320, 320, None)],
+        ids=["64x64-5-5-3", "96x160-3", "320x320-default"])
+    def test_stage2_matches_window_matrix_oracle_across_blocks(
+            self, monkeypatch, height, width, rows_per_block):
+        # A bound of k * C * 496 values, with C window columns, centres the
+        # window view in blocks of k window rows and the flat window matrix
+        # in blocks of the same k * C samples, so both sum the same block
+        # Grams. None takes the default bound rounded down to whole window
+        # rows: 54 of 320x320's 77 rows.
+        ref = make_textured_image(36, height, width)
+        rows, cols = height // 4 - 3, width // 4 - 3
+        k = rows_per_block or saak._CENTRED_BLOCK // (cols * 496)
+        assert k < rows
+        monkeypatch.setattr(saak, "_CENTRED_BLOCK", k * cols * 496)
+        _assert_identical_stages(train_model(ref).stages,
+                                 _window_matrix_oracle(ref)[:2])
+
+    def test_window_matrix_oracles_hold_with_one_blas_thread(self):
+        # Equal bits from the view and the flat matrix rest on the BLAS
+        # summing each Gram entry in the same order wherever its column
+        # sits, which may depend on the thread count. The thread count is
+        # read when numpy loads, so the oracles run in a fresh interpreter.
+        root = Path(__file__).resolve().parents[1]
+        oracles = [f"tests/test_saak.py::TestTrainModel::{name}" for name in (
+            "test_stage2_matches_window_matrix_oracle",
+            "test_stage2_matches_window_matrix_oracle_across_blocks")]
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             *oracles],
+            cwd=root, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert "4 passed" in run.stdout
 
     def test_peak_memory_bounded_by_centred_block(self):
         # At 512x512 the stage-2 window matrix is n x d float64 with
@@ -542,9 +584,7 @@ class TestTrainModel:
         ref = make_textured_image(35, 256, 256)
         default = train_model(ref)
         monkeypatch.setattr(saak, "_CENTRED_BLOCK", 1 << 62)
-        for got, want in zip(default.stages, train_model(ref).stages):
-            assert np.array_equal(got.kernels, want.kernels)
-            assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        _assert_identical_stages(default.stages, train_model(ref).stages)
 
     def test_feature_windows_block_and_stride_must_be_positive(self):
         f = np.zeros((6, 6, 3))

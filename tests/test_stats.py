@@ -367,7 +367,7 @@ def _plcc_of_fitted_curve(x, y):
     return pearson(logistic5_eval(logistic5_fit(x, y).beta, x), y)
 
 
-class TestPlccAfterRegression:
+class TestPlccOfFittedCurve:
     def test_perfect_fit(self):
         beta = np.array([1.5, 2.0, 0.0, -0.2, 4.0])
         x = np.linspace(-2, 2, 40)
