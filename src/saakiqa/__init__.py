@@ -53,7 +53,6 @@ from .metric import (
     quality_from_stats,
 )
 from .saak import (
-    SaakModel,
     SaakStage,
     extract_training_patches,
     forward,
@@ -82,7 +81,6 @@ __all__ = [
     "QualityConfig",
     "ChannelStats",
     "Reference",
-    "SaakModel",
     "SaakStage",
     "LogisticFit",
     "EvalRecord",

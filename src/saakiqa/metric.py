@@ -23,7 +23,7 @@ from .errors import (
     SaakIqaError,
 )
 from .image import as_image, crop_to_multiple, filter_radius, gaussian_filter
-from .saak import TILE, SaakModel, forward, train_model
+from .saak import TILE, SaakStage, forward, train_model
 
 # The paper's fixed scales c and h of the score formula above.
 C = 400.0
@@ -184,16 +184,17 @@ class Reference:
     """A reference image prepared once for scoring many distortions.
 
     ``image`` is the raw reference (for shape checks), ``model`` the
-    transform learned from its cropped, filtered copy, ``f_ref`` that
-    copy's features, and ``sigma`` the pre-filter width it was prepared
-    with. ``terms`` holds the reference side of :func:`channel_stats`
-    computed once from ``f_ref``: besides per-channel vectors, the centred
-    feature maps, one more array the size of ``f_ref``. ``f_ref`` and
-    ``terms`` are read-only, so the two cannot drift apart.
+    stages of the transform learned from its cropped, filtered copy,
+    ``f_ref`` that copy's features, and ``sigma`` the pre-filter width it
+    was prepared with. ``terms`` holds the reference side of
+    :func:`channel_stats` computed once from ``f_ref``: besides
+    per-channel vectors, the centred feature maps, one more array the size
+    of ``f_ref``. ``f_ref`` and ``terms`` are read-only, so the two cannot
+    drift apart.
     """
 
     image: np.ndarray
-    model: SaakModel
+    model: tuple[SaakStage, ...]
     f_ref: np.ndarray
     sigma: float
     terms: _ReferenceTerms

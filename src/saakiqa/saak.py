@@ -1,6 +1,6 @@
 """Image-adaptive multi-stage Saak transform (KLT with augmented kernels).
 
-Each stage projects non-overlapping ``block_size x block_size`` blocks onto
+Each stage projects non-overlapping ``BLOCK_SIZE x BLOCK_SIZE`` blocks onto
 an orthonormal basis learned from the image itself: a fixed constant DC
 kernel plus covariance eigenvectors of the DC-removed patch residuals,
 ordered by descending eigenvalue. Between stages every signed AC channel is
@@ -13,7 +13,7 @@ Conventions
 * Images are 2-D float64 arrays; feature tensors are ``(rows, cols,
   channels)`` float64 arrays with channel 0 holding the DC component.
 * Block vectorization is channel-major outermost, then row-major within the
-  spatial block: flat index ``c * bs**2 + r * bs + col``.
+  spatial block: flat index ``c * 16 + r * 4 + col``.
 * After S/P conversion, channel ``1 + 2*(k-1)`` is the positive part and
   channel ``2 + 2*(k-1)`` the negative part of signed AC channel ``k``.
 """
@@ -61,10 +61,9 @@ class SaakStage:
     kernel ``(1/sqrt(d), ...)``, rows 1..d-1 the AC kernels by descending
     eigenvalue. ``eigenvalues`` holds the d-1 AC eigenvalues (non-negative,
     non-increasing). ``dim`` (d) and ``input_channels`` are read off the
-    kernels.
+    kernels; every stage has ``BLOCK_SIZE x BLOCK_SIZE`` blocks.
     """
 
-    block_size: int
     kernels: np.ndarray
     eigenvalues: np.ndarray
 
@@ -74,14 +73,7 @@ class SaakStage:
 
     @property
     def input_channels(self) -> int:
-        return self.dim // (self.block_size * self.block_size)
-
-
-@dataclass(frozen=True, eq=False)
-class SaakModel:
-    """Ordered stages of a trained multi-stage transform."""
-
-    stages: tuple[SaakStage, ...]
+        return self.dim // (BLOCK_SIZE * BLOCK_SIZE)
 
 
 def extract_training_patches(img, block: int, stride: int,
@@ -103,17 +95,14 @@ def extract_training_patches(img, block: int, stride: int,
     if not keep.any():
         raise NoTrainingSamplesError(
             f"no patch has standard deviation > {std_threshold}")
-    return np.ascontiguousarray(vecs[keep])
+    return vecs[keep]
 
 
 def extract_feature_windows(features, block: int, stride: int = 1) -> np.ndarray:
     """Vectorize overlapped multi-channel spatial windows of a feature grid.
 
     No variance filter is applied. Returns a contiguous copy of ``(n,
-    channels * block**2)`` rows in the package's block vectorization order:
-    62 MB for the stage-2 windows of a 512x512 reference. :func:`train_model`
-    does not call this; it hands :func:`train_stage` the zero-copy window
-    view, which never holds more than one 16 MiB block of these rows.
+    channels * block**2)`` rows in the package's block vectorization order.
     Raises ``ValueError`` when ``block`` or ``stride`` is below 1.
     """
     wins = _windows(_as_features(features), block, stride)
@@ -168,16 +157,17 @@ def _fix_signs(kernels: np.ndarray) -> np.ndarray:
     return kernels
 
 
-def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
+def train_stage(samples, *, input_channels: int = 1) -> SaakStage:
     """Learn one stage's orthonormal kernel set from vectorized samples.
 
     ``samples`` is either an ``(n, d)`` array of vectorized blocks, with
-    ``d = block_size**2 * input_channels``, or a ``(rows, cols,
-    input_channels, block_size, block_size)`` array of windows such as the
-    zero-copy ``sliding_window_view`` of a feature grid, which counts as
-    ``n = rows * cols`` samples in the package's vectorization order. Both
-    give the same kernels bit for bit while the samples fit one centring
-    block (below), and agree to round-off beyond it.
+    ``d = 16 * input_channels``, or a ``(rows, cols, input_channels, 4,
+    4)`` array of windows such as the zero-copy ``sliding_window_view`` of
+    a feature grid, which counts as ``n = rows * cols`` samples in the
+    package's vectorization order. Rows are read as ``(n, 1,
+    input_channels, 4, 4)`` windows, so both take one path and give the
+    same kernels bit for bit while the samples fit one centring block
+    (below), and agree to round-off beyond it.
 
     The DC kernel is the normalized constant vector. AC kernels are the
     eigenvectors of the population covariance (about the ensemble mean) of
@@ -188,49 +178,44 @@ def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
     That covariance is computed as ``B.T @ C @ B``, with ``C`` the centred
     input-space covariance and ``B`` the DC-complement basis: d³ work
     rather than the n·d² of projecting every sample, and no n x (d-1) copy.
-    ``C`` is summed from the Grams of centred blocks of whole leading-axis
-    rows (sample rows, or window rows for the window view), each centred
-    into one reused buffer of at most ``_CENTRED_BLOCK`` float64 (16 MiB;
-    one row if a single row is larger), so memory beyond the d x d
-    matrices does not grow with n. Up to 2**21 values (a 272x272
-    reference's stage-2 windows) are one block: one centring and one Gram
-    product, the same bits as an unbounded buffer. The buffer holds
-    windows position-major (block row, block column, channel), so each
-    window's block row is copied as one run of ``block_size *
-    input_channels`` values (124 for stage 2), and the summed Gram is
-    permuted back to the channel-major order before anything else reads
-    it: the same bits as centring channel-major, in 93 instead of 108 ms
-    for a 512x512 reference's stage 2 (median of 15, 2 vCPUs).
-    Raises :class:`DimensionMismatchError` for a block size or channel
-    count below 1 and ``ValueError`` for NaN or infinite samples.
+    ``C`` is summed from the Grams of centred blocks of whole window rows,
+    each centred into one reused buffer of at most ``_CENTRED_BLOCK``
+    float64 (16 MiB; one window row if a single row is larger), so memory
+    beyond the d x d matrices does not grow with n. Up to 2**21 values (a
+    272x272 reference's stage-2 windows) are one block: one centring and
+    one Gram product, the same bits as an unbounded buffer. The buffer
+    holds windows position-major (block row, block column, channel), so
+    each window's block row is copied as one run of ``4 * input_channels``
+    values (124 for stage 2), and the summed Gram is permuted back to the
+    channel-major order before anything else reads it, which leaves every
+    entry the same bits.
+    Raises :class:`DimensionMismatchError` for a channel count below 1 or
+    samples of neither shape and ``ValueError`` for NaN or infinite
+    samples.
     """
-    if block_size < 1 or input_channels < 1:
-        raise DimensionMismatchError(
-            f"block size {block_size} and channels {input_channels} must be >= 1")
+    if input_channels < 1:
+        raise DimensionMismatchError(f"channels {input_channels} must be >= 1")
     try:
         x = np.asarray(samples, dtype=np.float64)
     except ValueError:
         raise DimensionMismatchError("samples must share a common dimension") from None
-    if x.ndim == 2:
-        lead = (0,)
-    elif x.ndim == 5 and x.shape[2:] == (input_channels, block_size, block_size):
-        lead = (0, 1)
-    else:
+    window = (input_channels, BLOCK_SIZE, BLOCK_SIZE)
+    d = math.prod(window)
+    if x.ndim == 2 and x.shape[1] == d:
+        x = x.reshape(x.shape[0], 1, *window)
+    if x.shape[2:] != window:
         raise DimensionMismatchError(
-            "samples must be (n, d) vectors or (rows, cols, channels, block, "
-            "block) windows")
-    n, d = math.prod(x.shape[:len(lead)]), math.prod(x.shape[len(lead):])
+            f"samples must be (n, {d}) vectors or (rows, cols, {input_channels}, "
+            f"{BLOCK_SIZE}, {BLOCK_SIZE}) windows")
+    n = x.shape[0] * x.shape[1]
     if n < 2:
         raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
-    if d != block_size * block_size * input_channels:
-        raise DimensionMismatchError(
-            f"sample dimension {d} != block {block_size}^2 * {input_channels} channels")
 
     # Any NaN or inf sample makes its column mean non-finite, so checking the
     # d means costs nothing beyond the mean itself (a finite column whose
     # sum overflows is rejected too; its covariance would not be finite).
     with np.errstate(invalid="ignore", over="ignore"):
-        mean = x.mean(axis=lead)
+        mean = x.mean(axis=(0, 1))
     if not np.isfinite(mean).all():
         raise ValueError("samples contain non-finite values")
 
@@ -239,16 +224,15 @@ def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
     # matrix instead of projecting all n samples. Centring before the Gram
     # product keeps bright low-contrast content exact; x.T @ x / n - mu mu^T
     # cancels digits there (scores move by ~1e-11 instead of ~1e-15).
-    # Each block of leading-axis rows is centred into the same C-ordered
-    # buffer, whose reshape is then a view (``x - mean`` on a strided
-    # window view would allocate in its stride order), and the block Grams
-    # are summed. Position-major windows copy in runs of block * channels
-    # grid values instead of block values; permuting the Gram back leaves
-    # every entry the same sum of the same products, so the same bits.
+    # Each block of window rows is centred into the same C-ordered buffer,
+    # whose reshape is then a view (``x - mean`` on a strided window view
+    # would allocate in its stride order), and the block Grams are summed.
+    # Position-major windows copy in runs of block * channels grid values
+    # instead of block values; permuting the Gram back leaves every entry
+    # the same sum of the same products, so the same bits.
     rows = x.shape[0]
     step = max(1, min(rows, _CENTRED_BLOCK // (x.size // rows)))
-    if x.ndim == 5:
-        x, mean = x.transpose(0, 1, 3, 4, 2), mean.transpose(1, 2, 0)
+    x, mean = x.transpose(0, 1, 3, 4, 2), mean.transpose(1, 2, 0)
     buf = np.empty((step,) + x.shape[1:])
     for start in range(0, rows, step):
         block = buf[:min(step, rows - start)]
@@ -259,9 +243,8 @@ def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
         else:
             gram = xc.T @ xc
     del buf, block, xc
-    if x.ndim == 5:
-        order = np.arange(d).reshape(x.shape[2:]).transpose(2, 0, 1).ravel()
-        gram = gram[np.ix_(order, order)]
+    order = np.arange(d).reshape(x.shape[2:]).transpose(2, 0, 1).ravel()
+    gram = gram[np.ix_(order, order)]
     gram /= n
     basis = _dc_complement_basis(d)
     cov = basis.T @ gram @ basis
@@ -269,11 +252,7 @@ def train_stage(samples, block_size: int, input_channels: int = 1) -> SaakStage:
     order = np.argsort(-evals, kind="stable")
     ac = _fix_signs((basis @ evecs[:, order]).T)
     kernels = np.vstack([np.full(d, 1.0 / np.sqrt(d)), ac])
-    return SaakStage(
-        block_size=block_size,
-        kernels=kernels,
-        eigenvalues=np.maximum(evals[order], 0.0),
-    )
+    return SaakStage(kernels=kernels, eigenvalues=np.maximum(evals[order], 0.0))
 
 
 def sp_convert(features) -> np.ndarray:
@@ -327,7 +306,7 @@ def forward_stage(features, stage: SaakStage) -> np.ndarray:
     one small product per block row.
     """
     f = _as_features(features)
-    bs = stage.block_size
+    bs = BLOCK_SIZE
     if f.shape[2] != stage.input_channels:
         raise GeometryMismatchError(
             f"expected {stage.input_channels} channels, got {f.shape[2]}")
@@ -347,14 +326,14 @@ def inverse_stage(coefficients, stage: SaakStage) -> np.ndarray:
         raise GeometryMismatchError(
             f"expected {stage.dim} coefficients, got {y.shape[2]}")
     gh, gw = y.shape[:2]
-    bs, c = stage.block_size, stage.input_channels
+    bs, c = BLOCK_SIZE, stage.input_channels
     blocks = y.reshape(-1, stage.dim) @ stage.kernels
     return (blocks.reshape(gh, gw, c, bs, bs)
             .transpose(0, 3, 1, 4, 2)
             .reshape(gh * bs, gw * bs, c))
 
 
-def forward(img, model: SaakModel) -> np.ndarray:
+def forward(img, model: tuple[SaakStage, ...]) -> np.ndarray:
     """Full multi-stage transform of an image into signed coefficients.
 
     Stages are chained with S/P conversion in between; the result keeps the
@@ -365,18 +344,18 @@ def forward(img, model: SaakModel) -> np.ndarray:
         raise GeometryMismatchError(
             f"image {img.shape[1]}x{img.shape[0]} not divisible by {TILE}")
     x = img[:, :, np.newaxis]
-    for i, stage in enumerate(model.stages):
+    for i, stage in enumerate(model):
         if i:
             x = sp_convert(x)
         x = forward_stage(x, stage)
     return x
 
 
-def inverse(features, model: SaakModel) -> np.ndarray:
+def inverse(features, model: tuple[SaakStage, ...]) -> np.ndarray:
     """Reconstruct the image from its multi-stage coefficients."""
     x = _as_features(features)
-    for i in reversed(range(len(model.stages))):
-        x = inverse_stage(x, model.stages[i])
+    for i in reversed(range(len(model))):
+        x = inverse_stage(x, model[i])
         if i:
             x = ps_convert(x)
     if x.shape[2] != 1:
@@ -384,25 +363,25 @@ def inverse(features, model: SaakModel) -> np.ndarray:
     return x[:, :, 0]
 
 
-def train_model(ref) -> SaakModel:
-    """Learn the full transform from a (filtered, cropped) reference image.
+def train_model(ref) -> tuple[SaakStage, ...]:
+    """Learn the full transform from a (filtered, cropped) reference image
+    and return its stages in order.
 
     Stage 1 trains on overlapped pixel patches passing the texture filter;
     later stages train on stride-1 windows of the previous stage's
     S/P-converted output with no variance filter. Those windows reach
     :func:`train_stage` as a zero-copy view of the feature grid, which it
-    centres in blocks of at most 16 MiB, so no n x d window matrix (62 MB
-    at 512x512) is ever allocated, and the stage-1 patches are freed
-    before stage 2 starts. Deterministic for identical input.
+    centres in blocks of at most 16 MiB, so no n x d window matrix is ever
+    allocated, and the stage-1 patches are freed before stage 2 starts.
+    Deterministic for identical input.
     """
     ref = as_image(ref)
     stages = [train_stage(
         extract_training_patches(ref, BLOCK_SIZE, TRAIN_STRIDE, STD_THRESHOLD),
-        BLOCK_SIZE, input_channels=1)]
+        input_channels=1)]
     x = ref[:, :, np.newaxis]
     for _ in range(1, NUM_STAGES):
         x = sp_convert(forward_stage(x, stages[-1]))
-        stages.append(train_stage(_windows(x, BLOCK_SIZE, 1), BLOCK_SIZE,
+        stages.append(train_stage(_windows(x, BLOCK_SIZE, 1),
                                   input_channels=x.shape[2]))
-    return SaakModel(stages=tuple(stages))
-
+    return tuple(stages)

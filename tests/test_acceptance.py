@@ -67,7 +67,7 @@ def test_criterion_2_orthonormality():
     with criterion(2, "trained kernel Gram within 1e-9 of identity on 5 images"):
         for seed in (1, 2, 3, 4, 5):
             model = train_model(make_textured_image(seed, 64, 64))
-            for stage in model.stages:
+            for stage in model:
                 gram = stage.kernels @ stage.kernels.T
                 dev = np.abs(gram - np.eye(stage.dim)).max()
                 assert dev <= 1e-9, f"seed {seed}: Gram deviation {dev}"
@@ -93,7 +93,7 @@ def test_criterion_4_energy_compaction():
         for seed in (1, 2, 3):
             img = make_textured_image(seed, 64, 64)
             model = train_model(img)
-            for stage in model.stages:
+            for stage in model:
                 assert np.all(np.diff(stage.eigenvalues) <= 0.0)
             f = forward(img, model)
             e = channel_stats(f, f).energy
@@ -194,9 +194,9 @@ def test_criterion_8_regression_recovery():
 def test_criterion_9_parseval():
     with criterion(9, "forward_stage preserves energy within 1e-6 relative"):
         rng = np.random.default_rng(1009)
-        stage1 = train_stage(rng.normal(0.0, 50.0, (300, 16)), 4)
+        stage1 = train_stage(rng.normal(0.0, 50.0, (300, 16)))
         model = train_model(make_textured_image(4, 64, 64))
-        stage2 = model.stages[1]
+        stage2 = model[1]
         for k in range(20):
             if k < 10:
                 block = rng.uniform(0.0, 255.0, (4, 4, 1))

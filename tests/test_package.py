@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,6 +23,21 @@ def test_all_matches_public_bindings():
     public = {name for name, value in vars(saakiqa).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert set(names) - {"__version__"} == public
+
+
+def test_import_needs_only_numpy():
+    # numpy is the only runtime dependency: importing the package loads no
+    # other third-party module. A fresh interpreter sees only its own
+    # imports.
+    code = ("import sys; before = set(sys.modules); import saakiqa; "
+            "print('\\n'.join(sorted(set(sys.modules) - before)))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60,
+                         cwd=Path(saakiqa.__file__).resolve().parents[1])
+    assert run.returncode == 0, run.stderr
+    top = {name.partition(".")[0] for name in run.stdout.split()}
+    assert "saakiqa" in top
+    assert top - sys.stdlib_module_names - {"numpy", "saakiqa"} == set()
 
 
 def test_settings_live_beside_the_score_they_set():
@@ -51,8 +67,7 @@ def test_array_dataclasses_compare_by_identity():
     _, stats = saakiqa.assess(prepared, dist)
     x = np.linspace(0.0, 1.0, 20)
     fit = saakiqa.logistic5_fit(x, 3.0 * x + np.sin(7.0 * x))
-    for obj, twin in ((prepared, other), (prepared.model, other.model),
-                      (prepared.model.stages[0], other.model.stages[0]),
+    for obj, twin in ((prepared, other), (prepared.model[0], other.model[0]),
                       (stats, saakiqa.assess(other, dist)[1]),
                       (fit, saakiqa.logistic5_fit(x, 3.0 * x + np.sin(7.0 * x)))):
         assert hash(obj) == hash(obj)

@@ -34,10 +34,10 @@ from saakiqa import (
 )
 
 
-def _random_stage(seed=0, block=4, channels=1, n=200):
+def _random_stage(seed=0, channels=1, n=200):
     rng = np.random.default_rng(seed)
-    d = block * block * channels
-    return train_stage(rng.normal(0, 50, (n, d)), block, channels)
+    return train_stage(rng.normal(0, 50, (n, 16 * channels)),
+                       input_channels=channels)
 
 
 def _bright_features():
@@ -45,12 +45,12 @@ def _bright_features():
     2.5), where a covariance formed without centring first loses digits."""
     img = make_textured_image(30, 128, 128)
     bright = 235.0 + 0.08 * (img - img.mean())
-    stage1 = train_stage(extract_training_patches(bright, 4, 1, 0.0), 4)
+    stage1 = train_stage(extract_training_patches(bright, 4, 1, 0.0))
     return sp_convert(forward_stage(bright[:, :, None], stage1))
 
 
 def _oracle_inputs():
-    """(samples, block, channels) cases for the covariance oracle tests.
+    """(samples, channels) cases for the covariance oracle tests.
 
     Beyond 16-dim zero-mean noise: the 496-dim stage-2 windows of
     :func:`_bright_features`, and a rank-deficient set with fewer samples
@@ -61,7 +61,7 @@ def _oracle_inputs():
     windows = extract_feature_windows(_bright_features(), 4)
     assert windows.shape == (841, 496)
     deficient = rng.normal(100, 30, (100, 496))
-    return [(noise, 4, 1), (windows, 4, 31), (deficient, 4, 31)]
+    return [(noise, 1), (windows, 31), (deficient, 31)]
 
 
 def _assert_same_stage(got, want):
@@ -118,38 +118,51 @@ class TestTrainStage:
     def test_stage_stores_kernels_not_derived_sizes(self):
         # dim and input_channels are read off the kernels, so they cannot
         # disagree with them.
-        samples = np.random.default_rng(3).normal(size=(40, 12))
-        stage = train_stage(samples, block_size=2, input_channels=3)
+        samples = np.random.default_rng(3).normal(size=(60, 48))
+        stage = train_stage(samples, input_channels=3)
         fields = [f.name for f in dataclasses.fields(stage)]
-        assert fields == ["block_size", "kernels", "eigenvalues"]
-        assert stage.dim == stage.kernels.shape[0] == 12
+        assert fields == ["kernels", "eigenvalues"]
+        assert stage.dim == stage.kernels.shape[0] == 48
         assert stage.input_channels == 3
 
-    def test_two_dim_closed_form(self):
-        samples = np.array([[0.0, 2.0], [2.0, 0.0], [4.0, -2.0], [-2.0, 4.0]])
-        stage = train_stage(samples, block_size=1, input_channels=2)
-        s = 1.0 / np.sqrt(2.0)
-        np.testing.assert_allclose(stage.kernels[0], [s, s], atol=1e-12)
-        np.testing.assert_allclose(stage.kernels[1:][0], [s, -s], atol=1e-12)
+    def test_input_channels_is_keyword_only(self):
+        # The traced benchmark names the stage-1/stage-2 spans from this keyword.
+        x = np.random.default_rng(4).normal(size=(600, 496))
+        with pytest.raises(TypeError):
+            train_stage(x, 31)
+        stage = train_stage(x, input_channels=31)
+        assert stage.dim == 496 and stage.input_channels == 31
 
-        # Oracle: explicit 2x2 covariance eigendecomposition of the
-        # DC-removed residuals about their mean.
-        dc = np.array([s, s])
-        resid = samples - np.outer(samples @ dc, dc)
-        centered = resid - resid.mean(axis=0)
-        cov = centered.T @ centered / len(samples)
-        a, b, c = cov[0, 0], cov[0, 1], cov[1, 1]
-        lam_max = (a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + b * b)
-        assert lam_max == pytest.approx(10.0, abs=1e-12)
-        assert stage.eigenvalues[0] == pytest.approx(lam_max, abs=1e-12)
+    def test_two_dim_closed_form(self):
+        # Samples t_i * u + k_i * dc vary along one unit vector u orthogonal
+        # to the DC vector, shifted by arbitrary DC offsets. The DC-removed
+        # residuals are t_i * u, so the covariance is var(t) * u u^T: the
+        # first AC kernel is u (sign rule applied), its eigenvalue var(t),
+        # and every other eigenvalue is 0.
+        rng = np.random.default_rng(14)
+        dc = np.full(16, 0.25)
+        u = np.zeros(16)
+        u[:4] = [3.0, -1.0, -4.0, 2.0]
+        u /= np.linalg.norm(u)
+        assert abs(u @ dc) < 1e-16
+        t = rng.normal(0.0, 30.0, 200)
+        k = rng.uniform(0.0, 1000.0, 200)
+        stage = train_stage(t[:, None] * u + k[:, None] * dc)
+        np.testing.assert_allclose(stage.kernels[0], dc, atol=1e-12)
+        # The largest-magnitude entry of u is -4/sqrt(30), so u flips sign.
+        np.testing.assert_allclose(stage.kernels[1], -u, atol=1e-12)
+        var = np.mean((t - t.mean()) ** 2)
+        assert stage.eigenvalues[0] == pytest.approx(var, rel=1e-12)
+        np.testing.assert_allclose(stage.eigenvalues[1:], 0.0,
+                                   atol=1e-12 * var)
 
     def test_constant_samples_give_deterministic_completion(self):
         samples = np.tile(np.full(16, 5.0), (10, 1))
-        stage = train_stage(samples, 4)
+        stage = train_stage(samples)
         np.testing.assert_allclose(stage.eigenvalues, 0.0, atol=1e-12)
         gram = stage.kernels @ stage.kernels.T
         assert np.abs(gram - np.eye(16)).max() <= 1e-9
-        again = train_stage(samples, 4)
+        again = train_stage(samples)
         np.testing.assert_array_equal(stage.kernels, again.kernels)
 
     def test_orthonormality(self):
@@ -160,8 +173,8 @@ class TestTrainStage:
     def test_eigenvector_residuals(self):
         # Oracle: the full-dimension covariance of DC-removed residuals must
         # reproduce each AC kernel as an eigenvector to solver accuracy.
-        for x, block, channels in _oracle_inputs():
-            stage = train_stage(x, block, channels)
+        for x, channels in _oracle_inputs():
+            stage = train_stage(x, input_channels=channels)
             dc = stage.kernels[0]
             resid = x - np.outer(x @ dc, dc)
             centered = resid - resid.mean(axis=0)
@@ -177,9 +190,9 @@ class TestTrainStage:
 
     def test_eigenvalues_match_projection_variance(self):
         rng = np.random.default_rng(5)
-        cases = [(rng.normal(0, 20, (500, 16)), 4, 1)] + _oracle_inputs()[1:]
-        for x, block, channels in cases:
-            stage = train_stage(x, block, channels)
+        cases = [(rng.normal(0, 20, (500, 16)), 1)] + _oracle_inputs()[1:]
+        for x, channels in cases:
+            stage = train_stage(x, input_channels=channels)
             proj = x @ stage.kernels[1:].T
             variances = proj.var(axis=0)
             np.testing.assert_allclose(variances, stage.eigenvalues,
@@ -188,7 +201,7 @@ class TestTrainStage:
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
-            train_stage(np.ones((1, 16)), 4)
+            train_stage(np.ones((1, 16)))
 
     def test_nonfinite_samples_rejected(self):
         # A column holding both infinities sums to NaN rather than inf.
@@ -199,36 +212,35 @@ class TestTrainStage:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="non-finite"):
-                    train_stage(x, 4)
+                    train_stage(x)
 
     def test_eigenvalues_invariant_to_constant_shift(self):
         # Covariance ignores the sample mean. On the bright windows (mean up
         # to 940, eigenvalues 0.002 to 496) centring before the Gram
         # product keeps the eigenvalues shift-invariant to ~1e-16 of the
         # largest; x.T @ x / n - mu mu^T is off by ~5e-11 there.
-        windows, block, channels = _oracle_inputs()[1]
-        stage = train_stage(windows, block, channels)
-        shifted = train_stage(windows - windows.mean(axis=0), block, channels)
+        windows, channels = _oracle_inputs()[1]
+        stage = train_stage(windows, input_channels=channels)
+        shifted = train_stage(windows - windows.mean(axis=0),
+                              input_channels=channels)
         np.testing.assert_allclose(shifted.eigenvalues, stage.eigenvalues,
                                    rtol=0, atol=1e-12 * stage.eigenvalues[0])
 
     def test_dimension_mismatch(self):
         from saakiqa import DimensionMismatchError
         with pytest.raises(DimensionMismatchError):
-            train_stage([np.ones(16), np.ones(15)], 4)
+            train_stage([np.ones(16), np.ones(15)])
         with pytest.raises(DimensionMismatchError):
-            train_stage(np.ones((5, 15)), 4)
+            train_stage(np.ones((5, 15)))
         # Windows must carry (channels, block, block) as their last axes.
         with pytest.raises(DimensionMismatchError):
-            train_stage(np.ones((3, 3, 2, 4, 4)), 4, 1)
+            train_stage(np.ones((3, 3, 2, 4, 4)), input_channels=1)
         with pytest.raises(DimensionMismatchError):
-            train_stage(np.ones((3, 3, 16)), 4)
-        # A zero block or channel count is rejected before any arithmetic
-        # (the DC kernel would divide by zero).
+            train_stage(np.ones((3, 3, 16)))
+        # A zero channel count is rejected before any arithmetic (the DC
+        # kernel would divide by zero).
         with pytest.raises(DimensionMismatchError):
-            train_stage(np.ones((5, 0)), 0)
-        with pytest.raises(DimensionMismatchError):
-            train_stage(np.ones((5, 0)), 4, 0)
+            train_stage(np.ones((5, 0)), input_channels=0)
 
 
 class TestSpPsConversion:
@@ -339,10 +351,10 @@ def _forward_batched(img, model):
     """Oracle: the multi-stage forward as one 3-D ``(gh, gw, d) @ (d, d)``
     product per stage, which numpy runs as one product per block row."""
     x = img[:, :, np.newaxis]
-    for i, stage in enumerate(model.stages):
+    for i, stage in enumerate(model):
         if i:
             x = sp_convert(x)
-        bs, c = stage.block_size, x.shape[2]
+        bs, c = saak.BLOCK_SIZE, x.shape[2]
         gh, gw = x.shape[0] // bs, x.shape[1] // bs
         blocks = (x.reshape(gh, bs, gw, bs, c).transpose(0, 2, 4, 1, 3)
                   .reshape(gh, gw, c * bs * bs))
@@ -366,9 +378,9 @@ class TestFullTransform:
         model = train_model(img)
         out = forward(img, model)
         assert out.shape == (4, 4, 496)
-        assert model.stages[-1].dim == 496
-        assert model.stages[0].input_channels == 1
-        assert model.stages[1].input_channels == 31
+        assert model[-1].dim == 496
+        assert model[0].input_channels == 1
+        assert model[1].input_channels == 31
 
     def test_forward_deterministic(self, textured_image):
         img = textured_image(21, 64, 64)
@@ -400,8 +412,8 @@ class TestFullTransform:
         rec = inverse(t, model)
 
         # Oracle: apply stage-2 then stage-1 transposes explicitly.
-        k2 = model.stages[1].kernels
-        k1 = model.stages[0].kernels
+        k2 = model[1].kernels
+        k1 = model[0].kernels
         vec = v * k2[0]
         block31 = vec.reshape(31, 4, 4)
         pairs = block31[1:].reshape(15, 2, 4, 4)
@@ -428,7 +440,7 @@ class TestFullTransform:
     def test_inverse_must_end_in_one_channel(self):
         # A model whose first stage reads two channels inverts a valid
         # coefficient tensor to a two-channel grid, which is no image.
-        model = saak.SaakModel(stages=(_random_stage(seed=26, channels=2),))
+        model = (_random_stage(seed=26, channels=2),)
         with pytest.raises(GeometryMismatchError,
                            match="tensor does not match the model geometry"):
             inverse(np.zeros((1, 1, 32)), model)
@@ -438,9 +450,9 @@ def _window_matrix_oracle(ref):
     """Stage 1, stage 2 trained on the contiguous window matrix from
     :func:`extract_feature_windows`, and the S/P grid it came from."""
     stage1 = train_stage(extract_training_patches(
-        ref, saak.BLOCK_SIZE, saak.TRAIN_STRIDE, saak.STD_THRESHOLD), 4)
+        ref, saak.BLOCK_SIZE, saak.TRAIN_STRIDE, saak.STD_THRESHOLD))
     f = sp_convert(forward_stage(ref[:, :, None], stage1))
-    return stage1, train_stage(extract_feature_windows(f, 4), 4, 31), f
+    return stage1, train_stage(extract_feature_windows(f, 4), input_channels=31), f
 
 
 def _assert_identical_stages(got, want):
@@ -456,7 +468,7 @@ class TestTrainModel:
         assert saak.STD_THRESHOLD == 2.0 and isinstance(saak.STD_THRESHOLD, float)
         assert saak.TILE == 16
         model = train_model(textured_image(26, 64, 64))
-        assert [stage.dim for stage in model.stages] == [16, 496]
+        assert [stage.dim for stage in model] == [16, 496]
 
     def test_constant_reference_rejected(self):
         with pytest.raises(NoTrainingSamplesError):
@@ -464,7 +476,7 @@ class TestTrainModel:
 
     def test_training_is_bitwise_deterministic(self, textured_image):
         img = textured_image(26, 64, 64)
-        _assert_identical_stages(train_model(img).stages, train_model(img).stages)
+        _assert_identical_stages(train_model(img), train_model(img))
 
     def test_tied_eigenvalues_periodic_reference(self):
         # A 4-periodic image has 4 distinct stage-1 patches and spatially
@@ -475,12 +487,12 @@ class TestTrainModel:
         img = np.tile(np.floor(rng.uniform(0, 256, (4, 4))), (16, 16))
         m1 = train_model(img)
         m2 = train_model(img)
-        for s1, s2 in zip(m1.stages, m2.stages):
+        for s1, s2 in zip(m1, m2):
             assert np.array_equal(s1.kernels, s2.kernels)
             assert s1.kernels.shape == (s1.dim, s1.dim)
             assert np.abs(s1.kernels @ s1.kernels.T - np.eye(s1.dim)).max() <= 1e-9
-        assert np.sum(m1.stages[0].eigenvalues <= 1e-9) == 12
-        assert np.all(m1.stages[1].eigenvalues <= 1e-9)
+        assert np.sum(m1[0].eigenvalues <= 1e-9) == 12
+        assert np.all(m1[1].eigenvalues <= 1e-9)
         for lam in (0.7, 0.2):
             assert assess(img, img, QualityConfig(lam=lam))[0] == 1.0
 
@@ -502,13 +514,13 @@ class TestTrainModel:
         for ref in refs:
             stage1, stage2, f = _window_matrix_oracle(ref)
             grids.append(f)
-            _assert_identical_stages(train_model(ref).stages, (stage1, stage2))
+            _assert_identical_stages(train_model(ref), (stage1, stage2))
         for f in grids:
             view = sliding_window_view(f, (4, 4), axis=(0, 1))
             flat = extract_feature_windows(f, 4)
             assert np.shares_memory(view, f)
-            _assert_identical_stages([train_stage(view, 4, 31)],
-                                     [train_stage(flat, 4, 31)])
+            _assert_identical_stages([train_stage(view, input_channels=31)],
+                                     [train_stage(flat, input_channels=31)])
 
     @pytest.mark.parametrize("height, width, rows_per_block", [
         (64, 64, 5), (96, 160, 3), (320, 320, None)],
@@ -525,7 +537,7 @@ class TestTrainModel:
         k = rows_per_block or saak._CENTRED_BLOCK // (cols * 496)
         assert k < rows
         monkeypatch.setattr(saak, "_CENTRED_BLOCK", k * cols * 496)
-        _assert_identical_stages(train_model(ref).stages,
+        _assert_identical_stages(train_model(ref),
                                  _window_matrix_oracle(ref)[:2])
 
     def test_window_matrix_oracles_hold_with_one_blas_thread(self):
@@ -574,8 +586,8 @@ class TestTrainModel:
             monkeypatch.setattr(saak, "_CENTRED_BLOCK", bound)
             return train()
 
-        for bound, train in ((5 * 13 * 496, lambda: train_model(ref).stages[1]),
-                             (128 * 16, lambda: train_stage(flat, 4))):
+        for bound, train in ((5 * 13 * 496, lambda: train_model(ref)[1]),
+                             (128 * 16, lambda: train_stage(flat))):
             _assert_same_stage(trained(bound, train), trained(1 << 62, train))
 
     def test_reference_of_256_is_one_centring_block(self, monkeypatch):
@@ -584,7 +596,7 @@ class TestTrainModel:
         ref = make_textured_image(35, 256, 256)
         default = train_model(ref)
         monkeypatch.setattr(saak, "_CENTRED_BLOCK", 1 << 62)
-        _assert_identical_stages(default.stages, train_model(ref).stages)
+        _assert_identical_stages(default, train_model(ref))
 
     def test_feature_windows_block_and_stride_must_be_positive(self):
         f = np.zeros((6, 6, 3))
