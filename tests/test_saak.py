@@ -446,13 +446,43 @@ class TestFullTransform:
             inverse(np.zeros((1, 1, 32)), model)
 
 
+def _channel_major_stage(x, cols):
+    """Reference stage trained on an ``(n, d)`` sample matrix in the
+    package's channel-major order, without :func:`train_stage`.
+
+    ``x - x.mean(0)`` is centred in blocks of ``k * cols`` samples, the
+    split ``train_stage`` makes for windows in rows of ``cols`` under
+    ``saak._CENTRED_BLOCK``; the block Grams ``xc.T @ xc`` are summed,
+    divided by n, rotated into the DC-complement basis, diagonalized,
+    ordered and signed by the rules ``train_stage`` documents.
+    """
+    n, d = x.shape
+    mean = x.mean(axis=0)
+    step = cols * max(1, saak._CENTRED_BLOCK // (cols * d))
+    for start in range(0, n, step):
+        xc = x[start:start + step] - mean
+        if start:
+            gram += xc.T @ xc
+        else:
+            gram = xc.T @ xc
+    gram /= n
+    basis = saak._dc_complement_basis(d)
+    evals, evecs = np.linalg.eigh(basis.T @ gram @ basis)
+    order = np.argsort(-evals, kind="stable")
+    ac = saak._fix_signs((basis @ evecs[:, order]).T)
+    return saak.SaakStage(kernels=np.vstack([np.full(d, 1.0 / np.sqrt(d)), ac]),
+                          eigenvalues=np.maximum(evals[order], 0.0))
+
+
 def _window_matrix_oracle(ref):
-    """Stage 1, stage 2 trained on the contiguous window matrix from
-    :func:`extract_feature_windows`, and the S/P grid it came from."""
-    stage1 = train_stage(extract_training_patches(
-        ref, saak.BLOCK_SIZE, saak.TRAIN_STRIDE, saak.STD_THRESHOLD))
+    """Stage 1 and stage 2 trained channel-major by
+    :func:`_channel_major_stage`, stage 2 on the contiguous window matrix
+    from :func:`extract_feature_windows`, and the S/P grid it came from."""
+    stage1 = _channel_major_stage(extract_training_patches(
+        ref, saak.BLOCK_SIZE, saak.TRAIN_STRIDE, saak.STD_THRESHOLD), 1)
     f = sp_convert(forward_stage(ref[:, :, None], stage1))
-    return stage1, train_stage(extract_feature_windows(f, 4), input_channels=31), f
+    cols = f.shape[1] - saak.BLOCK_SIZE + 1
+    return stage1, _channel_major_stage(extract_feature_windows(f, 4), cols), f
 
 
 def _assert_identical_stages(got, want):
@@ -503,9 +533,10 @@ class TestTrainModel:
             train_model(img)
 
     def test_stage2_matches_window_matrix_oracle(self):
-        # Oracle: the explicit path, stage 2 trained on the contiguous
-        # window matrix from extract_feature_windows. Training from the
-        # zero-copy window view must give the same bits.
+        # Oracle: channel-major centring of the contiguous window matrix
+        # from extract_feature_windows. train_stage centres windows
+        # position-major and permutes the Gram back, which must give the
+        # same bits, from the zero-copy window view and from the matrix.
         rng = np.random.default_rng(40)
         refs = [make_textured_image(31, 64, 64), make_textured_image(32, 96, 160),
                 make_textured_image(33, 208, 112),
@@ -519,19 +550,21 @@ class TestTrainModel:
             view = sliding_window_view(f, (4, 4), axis=(0, 1))
             flat = extract_feature_windows(f, 4)
             assert np.shares_memory(view, f)
-            _assert_identical_stages([train_stage(view, input_channels=31)],
-                                     [train_stage(flat, input_channels=31)])
+            want = [_channel_major_stage(flat, view.shape[1])]
+            for x in (view, flat):
+                _assert_identical_stages([train_stage(x, input_channels=31)], want)
 
     @pytest.mark.parametrize("height, width, rows_per_block", [
         (64, 64, 5), (96, 160, 3), (320, 320, None)],
         ids=["64x64-5-5-3", "96x160-3", "320x320-default"])
     def test_stage2_matches_window_matrix_oracle_across_blocks(
             self, monkeypatch, height, width, rows_per_block):
-        # A bound of k * C * 496 values, with C window columns, centres the
-        # window view in blocks of k window rows and the flat window matrix
-        # in blocks of the same k * C samples, so both sum the same block
-        # Grams. None takes the default bound rounded down to whole window
-        # rows: 54 of 320x320's 77 rows.
+        # A bound of k * C * 496 values, with C window columns, makes
+        # train_model centre the window view in blocks of k window rows and
+        # the channel-major oracle centre the flat window matrix in blocks
+        # of the same k * C samples, so both sum the same block Grams. None
+        # takes the default bound rounded down to whole window rows: 54 of
+        # 320x320's 77 rows.
         ref = make_textured_image(36, height, width)
         rows, cols = height // 4 - 3, width // 4 - 3
         k = rows_per_block or saak._CENTRED_BLOCK // (cols * 496)
@@ -541,10 +574,11 @@ class TestTrainModel:
                                  _window_matrix_oracle(ref)[:2])
 
     def test_window_matrix_oracles_hold_with_one_blas_thread(self):
-        # Equal bits from the view and the flat matrix rest on the BLAS
-        # summing each Gram entry in the same order wherever its column
-        # sits, which may depend on the thread count. The thread count is
-        # read when numpy loads, so the oracles run in a fresh interpreter.
+        # Equal bits from position-major centring and the channel-major
+        # oracle rest on the BLAS summing each Gram entry in the same order
+        # wherever its column sits, which may depend on the thread count.
+        # The thread count is read when numpy loads, so the oracles run in
+        # a fresh interpreter.
         root = Path(__file__).resolve().parents[1]
         oracles = [f"tests/test_saak.py::TestTrainModel::{name}" for name in (
             "test_stage2_matches_window_matrix_oracle",
