@@ -19,8 +19,8 @@ from ._version import __version__
 from .errors import DATA_ERRORS
 from .harness import (DCT_SIZE, checked_qstep, emit_report, parse_manifest, run_eval,
                       synth_distort)
-from .image import crop_to_multiple, read_pgm, write_pgm
-from .metric import CODEC_LAMBDAS, QualityConfig, assess
+from .image import crop_to_multiple, filter_radius, read_pgm, write_pgm
+from .metric import CODEC_LAMBDAS, SIGMA, QualityConfig, assess
 
 
 class _UsageError(Exception):
@@ -37,12 +37,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _checked(rule):
-    """An argparse type: ``rule(float(text))``, where ``rule`` is the
-    library's own check of the setting. Its ``ValueError``, or
+    """An argparse type: ``float(text)`` once ``rule``, the library's own
+    check of the setting, accepts it. Its ``ValueError``, or
     ``float()``'s, becomes a usage error with that message."""
-    def parse(text: str):
+    def parse(text: str) -> float:
         try:
-            return rule(float(text))
+            rule(value := float(text))
+            return value
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"saakiqa {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    lam = _checked(lambda v: QualityConfig(lam=v).lam)
+    lam = _checked(QualityConfig)
 
     score = sub.add_parser("score", help="score one reference/distorted pair")
     score.add_argument("--ref", required=True, help="reference PGM")
@@ -71,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--scatter", help="write per-codec scatter TSV")
     ev.add_argument("--lambda", dest="lam", type=lam,
                     help="blend factor for every record (overrides codec defaults)")
-    ev.add_argument("--sigma", type=_checked(lambda v: QualityConfig(sigma=v).sigma),
-                    default=QualityConfig.sigma,
+    ev.add_argument("--sigma", type=_checked(filter_radius), default=SIGMA,
                     help="Gaussian pre-filter sigma (default %(default)s)")
 
     dist = sub.add_parser("distort", help="apply block-DCT quantization")

@@ -32,7 +32,7 @@ from .errors import (
     SaakIqaError,
 )
 from .image import as_image, filter_radius, read_pgm
-from .metric import C, CODEC_LAMBDAS, H, QualityConfig, assess, prepare_reference
+from .metric import C, CODEC_LAMBDAS, H, SIGMA, QualityConfig, assess, prepare_reference
 from .saak import BLOCK_SIZE, NUM_STAGES, STD_THRESHOLD, TRAIN_STRIDE
 from .stats import (MIN_REGRESSION_N, kendall_tau_b, logistic5_eval, logistic5_fit,
                     pearson, psnr, spearman)
@@ -195,7 +195,7 @@ def _score_reference_rows(records: list[EvalRecord], sigma: float,
     results = []
     for record in records:
         try:
-            config = QualityConfig.for_codec(record.codec, lam_override, sigma)
+            config = QualityConfig.for_codec(record.codec, lam_override)
             image = ref()
             dist = read_pgm(record.dist_path)
             psnr_db = psnr(image, dist)
@@ -227,11 +227,12 @@ def _codec_stats(scored: list[RecordResult], n_total: int) -> CodecResult:
     return result
 
 
-def run_eval(records: list[EvalRecord], *, sigma: float = QualityConfig.sigma,
+def run_eval(records: list[EvalRecord], *, sigma: float = SIGMA,
              lam_override: float | None = None) -> EvalReport:
     """Score every record and fit per-codec correlation statistics.
 
-    ``sigma`` is the pre-filter width for every record. Each row's blend
+    ``sigma`` is the pre-filter width each reference is prepared with, as
+    :func:`~saakiqa.image.filter_radius` accepts it. Each row's blend
     factor comes from :meth:`QualityConfig.for_codec`: ``lam_override``
     when given, else the row's codec default; a codec with no default
     (``other``) makes that row an error. A bad ``sigma`` or
@@ -246,7 +247,8 @@ def run_eval(records: list[EvalRecord], *, sigma: float = QualityConfig.sigma,
     if not records:
         raise NoValidRecordsError("manifest has no records")
     # A bad setting raises here, not as one row error per record.
-    QualityConfig(QualityConfig.lam if lam_override is None else lam_override, sigma)
+    QualityConfig(QualityConfig.lam if lam_override is None else lam_override)
+    filter_radius(sigma)
     by_ref: dict[str, list[int]] = {}
     for i, record in enumerate(records):
         by_ref.setdefault(record.ref_path, []).append(i)

@@ -22,12 +22,14 @@ from .errors import (
     GeometryMismatchError,
     SaakIqaError,
 )
-from .image import as_image, crop_to_multiple, filter_radius, gaussian_filter
+from .image import as_image, crop_to_multiple, gaussian_filter
 from .saak import TILE, SaakStage, forward, train_model
 
 # The paper's fixed scales c and h of the score formula above.
 C = 400.0
 H = 100.0
+# Default width of the Gaussian pre-filter; a prepared Reference holds its own.
+SIGMA = 1.0
 
 # Blend factor tuned per codec family: blockiness (jpeg) favors the MSE
 # term, ringing (jpeg2000) the correlation term.
@@ -42,32 +44,28 @@ _WEIGHT_EPS = 1e-12
 
 @dataclass(frozen=True)
 class QualityConfig:
-    """The two settings of the scoring pipeline; the rest is fixed design.
+    """The one value a caller sets per distortion; the rest is fixed design.
 
-    ``lam`` is the MSE/correlation blend weight in [0, 1]. ``sigma`` is the
-    standard deviation of the Gaussian pre-filter, as ``filter_radius``
-    accepts it; its window radius is ``ceil(3 * sigma)`` and its borders
-    are always reflected. The transform geometry lives in
+    ``lam`` is the MSE/correlation blend weight in [0, 1]. The pre-filter
+    width belongs to the reference: it is the ``sigma`` given to
+    :func:`prepare_reference`. The transform geometry lives in
     :mod:`saakiqa.saak` and the score scales are ``C`` and ``H`` above.
     """
 
     lam: float = CODEC_LAMBDAS["jpeg"]
-    sigma: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must be in [0, 1]")
-        filter_radius(self.sigma)  # raises ValueError on an unusable sigma
 
     @classmethod
-    def for_codec(cls, codec: str, lam: float | None = None,
-                  sigma: float = sigma) -> "QualityConfig":
+    def for_codec(cls, codec: str, lam: float | None = None) -> "QualityConfig":
         """The one resolver of the blend factor: ``lam`` when given, else the
         codec's tuned default; a codec without one (``other``) raises
-        :class:`SaakIqaError`. ``sigma`` defaults to the field default."""
+        :class:`SaakIqaError`."""
         if lam is None and codec not in CODEC_LAMBDAS:
             raise SaakIqaError(f"codec {codec!r} has no default lambda; pass an override")
-        return cls(CODEC_LAMBDAS[codec] if lam is None else lam, sigma)
+        return cls(CODEC_LAMBDAS[codec] if lam is None else lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,12 +202,13 @@ def _filtered(img: np.ndarray, sigma: float) -> np.ndarray:
     return gaussian_filter(crop_to_multiple(img, TILE), sigma)
 
 
-def prepare_reference(ref, sigma: float = QualityConfig.sigma) -> Reference:
+def prepare_reference(ref, sigma: float = SIGMA) -> Reference:
     """Learn the transform from a reference and transform the reference.
 
     This is the part of :func:`assess` that depends on the reference and
     the pre-filter width ``sigma`` alone, so one prepared reference scores
-    any number of distortions under any ``lam``.
+    any number of distortions under any ``lam``. A ``sigma`` that
+    ``filter_radius`` rejects, or wider than the image, raises ``ValueError``.
     """
     image = as_image(ref)
     filtered = _filtered(image, sigma)
@@ -230,16 +229,13 @@ def assess(ref, dist, config: QualityConfig | None = None) -> tuple[float, Chann
     weighted quality function. Returns ``(score, stats)`` so callers can
     inspect the per-channel diagnostics without recomputation.
 
-    ``ref`` is an image or a :class:`Reference` from
-    :func:`prepare_reference`, which skips the training and scores under
-    any ``lam``; its ``sigma`` must equal ``config.sigma`` (``ValueError``
-    otherwise).
+    ``ref`` is an image, prepared with the default pre-filter width
+    ``SIGMA``, or a :class:`Reference` from :func:`prepare_reference`,
+    which skips the training and scores under any ``lam``. The distorted
+    image is filtered with the reference's ``sigma``.
     """
     config = config or QualityConfig()
     prepared = isinstance(ref, Reference)
-    if prepared and ref.sigma != config.sigma:
-        raise ValueError(
-            f"reference was prepared with sigma {ref.sigma}, not {config.sigma}")
     image = ref.image if prepared else as_image(ref)
     dist = as_image(dist)
     if image.shape != dist.shape:
@@ -247,7 +243,7 @@ def assess(ref, dist, config: QualityConfig | None = None) -> tuple[float, Chann
             f"reference {image.shape} vs distorted {dist.shape}")
 
     if not prepared:
-        ref = prepare_reference(image, config.sigma)
-    f_dist = forward(_filtered(dist, config.sigma), ref.model)
+        ref = prepare_reference(image)
+    f_dist = forward(_filtered(dist, ref.sigma), ref.model)
     stats = channel_stats(ref, f_dist)
     return quality_from_stats(stats, config.lam), stats

@@ -231,7 +231,7 @@ class TestRunEval:
                 ("ref.pgm", "dist.pgm", 1.0, "jpeg2000")]
         report = run_eval(parse_manifest(_write_manifest(tmp_path, rows)), sigma=2.0)
         assert [r.score for r in report.results] == [
-            assess(ref, dist, QualityConfig.for_codec(codec, sigma=2.0))[0]
+            assess(prepare_reference(ref, 2.0), dist, QualityConfig.for_codec(codec))[0]
             for codec in ("jpeg", "jpeg2000")]
         assert (report.config["sigma"], report.config["radius"]) == (2.0, 6)
 

@@ -8,11 +8,11 @@ import pytest
 from saakiqa import (
     ImageTooSmallError,
     MalformedHeaderError,
-    QualityConfig,
     TruncatedDataError,
     UnsupportedMaxvalError,
     crop_to_multiple,
     gaussian_filter,
+    prepare_reference,
     read_pgm,
     write_pgm,
 )
@@ -192,6 +192,10 @@ def _impulse_response(sigma, size=31):
     return gaussian_filter(img, sigma)
 
 
+# A reference the size of one transform tile, to prepare under a bad sigma.
+_REF16 = np.arange(256.0).reshape(16, 16)
+
+
 class TestSigmaSetsRadius:
     # The filter is specified by sigma alone: radius ceil(3*sigma),
     # reflected borders.
@@ -227,7 +231,7 @@ class TestSigmaSetsRadius:
             with pytest.raises(ValueError, match="sigma"):
                 filter_radius(sigma)
             with pytest.raises(ValueError, match="sigma"):
-                QualityConfig(sigma=sigma)
+                prepare_reference(_REF16, sigma)
         assert filter_radius(largest) == math.ceil(3.0 * largest)
         # The smallest accepted sigma filters without a warning; its
         # window is a single tap.
@@ -239,8 +243,8 @@ class TestSigmaSetsRadius:
         for sigma in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 gaussian_filter(np.zeros((4, 4)), sigma)
-            with pytest.raises(ValueError):
-                QualityConfig(sigma=sigma)
+            with pytest.raises(ValueError, match="sigma"):
+                prepare_reference(_REF16, sigma)
 
 
 def _gaussian_filter_tap_loop(img, sigma):

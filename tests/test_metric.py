@@ -252,11 +252,16 @@ class TestAssess:
 
     def test_prepared_reference_rejects_other_transform(self, textured_image):
         ref = textured_image(36, 64, 64)
+        dist = synth_distort(ref, 32.0)
         prepared = prepare_reference(ref, 2.0)
-        with pytest.raises(ValueError, match="sigma"):
-            assess(prepared, ref, QualityConfig(sigma=1.0))
-        # The transform geometry and the score scales are fixed, not settable.
-        for name in ("c", "h", "block_size", "num_stages", "train_stride",
+        # The distorted image is filtered with the reference's own width.
+        score, _ = assess(prepared, dist)
+        assert score == quality_from_stats(channel_stats(
+            prepared, forward(gaussian_filter(dist, 2.0), prepared.model)), 0.7)
+        assert score != assess(ref, dist)[0]
+        # The pre-filter width belongs to the reference; the transform
+        # geometry and the score scales are fixed. None is a config field.
+        for name in ("sigma", "c", "h", "block_size", "num_stages", "train_stride",
                      "std_threshold"):
             with pytest.raises(TypeError):
                 QualityConfig(**{name: 1})
@@ -272,15 +277,14 @@ class TestAssess:
 
     def test_for_codec_overrides(self):
         # An explicit lam wins over the codec default and stands in for a
-        # missing one; sigma passes through.
-        assert QualityConfig.for_codec("jpeg", 0.1) == QualityConfig(0.1, 1.0)
-        assert QualityConfig.for_codec("other", 0.4) == QualityConfig(0.4, 1.0)
-        assert QualityConfig.for_codec("jpeg2000", sigma=2.0) == QualityConfig(0.2, 2.0)
+        # missing one; the pre-filter width is not the config's to set.
+        assert QualityConfig.for_codec("jpeg", 0.1) == QualityConfig(0.1)
+        assert QualityConfig.for_codec("other", 0.4) == QualityConfig(0.4)
         for bad in (1.5, -0.1):
             with pytest.raises(ValueError, match="lam"):
                 QualityConfig.for_codec("jpeg", bad)
-        with pytest.raises(ValueError, match="sigma"):
-            QualityConfig.for_codec("jpeg", sigma=0.0)
+        with pytest.raises(TypeError):
+            QualityConfig.for_codec("jpeg2000", sigma=2.0)
 
     def test_crops_unaligned_inputs(self, textured_image):
         img = textured_image(31, 70, 67)
@@ -297,12 +301,12 @@ class TestAssess:
     def test_distortion_regression_lock(self, textured_image):
         # Strict decrease with quantization strength, plus frozen scores
         # from the first recorded run as a drift guard, for the default and
-        # two non-default pre-filter widths.
+        # two non-default pre-filter widths, which the prepared reference
+        # carries.
         img = textured_image(1, 128, 128)
         for sigma, expected in REGRESSION_LOCK_SCORES_BY_SIGMA.items():
-            config = QualityConfig(sigma=sigma)
-            scores = [assess(img, synth_distort(img, q), config)[0]
-                      for q in (8, 32, 128)]
+            ref = img if sigma == 1.0 else prepare_reference(img, sigma)
+            scores = [assess(ref, synth_distort(img, q))[0] for q in (8, 32, 128)]
             assert scores[0] > scores[1] > scores[2]
             np.testing.assert_allclose(scores, expected, rtol=1e-9,
                                        err_msg=f"sigma={sigma}")

@@ -47,6 +47,20 @@ def test_settings_live_beside_the_score_they_set():
     assert importlib.util.find_spec("saakiqa.config") is None
 
 
+def test_sigma_has_one_owner():
+    # The pre-filter width is set where a reference is prepared, and read
+    # from the prepared Reference; no per-distortion setting repeats it.
+    # Error classes take only a message and have no signature to read.
+    api = [(name, getattr(saakiqa, name)) for name in saakiqa.__all__]
+    api = [(name, value) for name, value in api if callable(value)
+           and not (inspect.isclass(value) and issubclass(value, BaseException))]
+    api.append(("QualityConfig.for_codec", saakiqa.QualityConfig.for_codec))
+    takes_sigma = {name for name, value in api
+                   if "sigma" in inspect.signature(value).parameters}
+    assert takes_sigma == {"Reference", "prepare_reference", "run_eval",
+                           "gaussian_filter"}
+
+
 @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
 def test_version_has_one_owner():
     # pyproject.toml reads the version from saakiqa._version at build time.
@@ -104,8 +118,8 @@ def test_traced_benchmark_functions_resolve(monkeypatch):
 
 def test_traced_assess_fills_layer_metrics(monkeypatch):
     # The traced run names spans and derives layer metrics from where the
-    # wrapped functions are called and from their positional arguments
-    # (train_stage's channel count, extract_training_patches' block and
+    # wrapped functions are called and from their arguments (train_stage's
+    # input_channels keyword, extract_training_patches' positional block and
     # stride). A call moved or re-ordered would only show as a metric
     # reading 0 there.
     spans = _load_spans(monkeypatch)
