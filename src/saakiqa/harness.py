@@ -124,17 +124,12 @@ def parse_manifest(path) -> list[EvalRecord]:
     records = []
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header_seen = False
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if not header_seen:
-                if tuple(c.strip().lower() for c in row) != _MANIFEST_HEADER:
-                    raise MalformedRowError(
-                        f"line {reader.line_num}: expected header "
-                        f"{','.join(_MANIFEST_HEADER)}")
-                header_seen = True
-                continue
+        rows = (row for row in reader if any(c.strip() for c in row))
+        header = next(rows, None)
+        if header and tuple(c.strip().lower() for c in header) != _MANIFEST_HEADER:
+            raise MalformedRowError(
+                f"line {reader.line_num}: expected header {','.join(_MANIFEST_HEADER)}")
+        for row in rows:
             if len(row) != 4:
                 raise MalformedRowError(
                     f"line {reader.line_num}: expected 4 columns, got {len(row)}")

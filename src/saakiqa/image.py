@@ -158,17 +158,16 @@ def crop_to_multiple(img, m: int) -> np.ndarray:
     return img[:h2, :w2].copy()
 
 
-def _filter_axis(img: np.ndarray, taps: np.ndarray, radius: int, axis: int) -> np.ndarray:
+def _filter_axis(img: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     pad = [(0, 0), (0, 0)]
-    pad[axis] = (radius, radius)
+    pad[axis] = (taps.size // 2,) * 2
     padded = np.pad(img, pad, mode="symmetric")
     out = np.zeros_like(img)
-    term = np.empty_like(img)
     n = img.shape[axis]
     for i, w in enumerate(taps):
         sl = [slice(None), slice(None)]
         sl[axis] = slice(i, i + n)
-        out += np.multiply(w, padded[tuple(sl)], out=term)
+        out += w * padded[tuple(sl)]
     return out
 
 
@@ -201,5 +200,5 @@ def gaussian_filter(img, sigma: float) -> np.ndarray:
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     taps = np.exp(-(x * x) / (2.0 * sigma * sigma))
     taps /= taps.sum()
-    out = _filter_axis(img, taps, radius, axis=0)
-    return _filter_axis(out, taps, radius, axis=1)
+    out = _filter_axis(img, taps, axis=0)
+    return _filter_axis(out, taps, axis=1)

@@ -76,13 +76,12 @@ class SaakStage:
         return self.dim // (BLOCK_SIZE * BLOCK_SIZE)
 
 
-def extract_training_patches(img, block: int, stride: int,
-                             std_threshold: float) -> np.ndarray:
+def extract_training_patches(img, block: int, stride: int) -> np.ndarray:
     """Vectorize overlapped pixel patches that carry enough texture.
 
     Patches of ``block x block`` pixels are sampled on a ``stride`` grid and
     flattened row-major. Only patches whose population standard deviation
-    exceeds ``std_threshold`` are kept; flat patches carry no structure
+    exceeds ``STD_THRESHOLD`` (2) are kept; flat patches carry no structure
     worth training on.
 
     Returns an ``(n, block**2)`` array. Raises ``ValueError`` when
@@ -91,23 +90,22 @@ def extract_training_patches(img, block: int, stride: int,
     """
     wins = _windows(as_image(img)[:, :, np.newaxis], block, stride)
     vecs = wins.reshape(-1, block * block)
-    keep = vecs.std(axis=1) > std_threshold
+    keep = vecs.std(axis=1) > STD_THRESHOLD
     if not keep.any():
         raise NoTrainingSamplesError(
-            f"no patch has standard deviation > {std_threshold}")
+            f"no patch has standard deviation > {STD_THRESHOLD}")
     return vecs[keep]
 
 
-def extract_feature_windows(features, block: int, stride: int = 1) -> np.ndarray:
-    """Vectorize overlapped multi-channel spatial windows of a feature grid.
+def extract_feature_windows(features) -> np.ndarray:
+    """Vectorize every ``BLOCK_SIZE x BLOCK_SIZE`` window of a feature grid
+    at stride 1, the samples :func:`train_model` trains stage 2 on.
 
     No variance filter is applied. Returns a contiguous copy of ``(n,
-    channels * block**2)`` rows in the package's block vectorization order.
-    Raises ``ValueError`` when ``block`` or ``stride`` is below 1.
+    channels * 16)`` rows in the package's block vectorization order.
     """
-    wins = _windows(_as_features(features), block, stride)
-    return np.ascontiguousarray(
-        wins.reshape(-1, wins.shape[2] * block * block))
+    wins = _windows(_as_features(features), BLOCK_SIZE, 1)
+    return np.ascontiguousarray(wins.reshape(-1, wins.shape[2] * BLOCK_SIZE ** 2))
 
 
 def _windows(f: np.ndarray, block: int, stride: int) -> np.ndarray:
@@ -376,9 +374,8 @@ def train_model(ref) -> tuple[SaakStage, ...]:
     Deterministic for identical input.
     """
     ref = as_image(ref)
-    stages = [train_stage(
-        extract_training_patches(ref, BLOCK_SIZE, TRAIN_STRIDE, STD_THRESHOLD),
-        input_channels=1)]
+    stages = [train_stage(extract_training_patches(ref, BLOCK_SIZE, TRAIN_STRIDE),
+                          input_channels=1)]
     x = ref[:, :, np.newaxis]
     for _ in range(1, NUM_STAGES):
         x = sp_convert(forward_stage(x, stages[-1]))

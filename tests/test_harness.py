@@ -118,6 +118,24 @@ class TestParseManifest:
         assert p.read_bytes().startswith(b"\xef\xbb\xbf")
         assert parse_manifest(p)[0].mos == 1.5
 
+    def test_blank_rows_before_header(self, tmp_path):
+        # The header is the first row with a non-blank cell; line numbers in
+        # errors count the skipped rows.
+        p = tmp_path / "m.csv"
+        p.write_text("\n , \nref,dist,mos,codec\na.pgm,b.pgm,1.5,jpeg\n")
+        assert [r.mos for r in parse_manifest(p)] == [1.5]
+        p.write_text("\n\nref,dist,mos,codec\na.pgm,b.pgm,2.5,jpeg\n",
+                     encoding="utf-8-sig")
+        assert [r.mos for r in parse_manifest(p)] == [2.5]
+        p.write_text("\n\n\nreference,distorted,mos,codec\n")
+        with pytest.raises(MalformedRowError, match="line 4: expected header"):
+            parse_manifest(p)
+        p.write_text("\n , \n\n")
+        assert parse_manifest(p) == []
+        p.write_text("ref,dist,mos,codec\n\na.pgm,b.pgm,abc,jpeg\n")
+        with pytest.raises(MalformedRowError, match="line 3: unparsable mos"):
+            parse_manifest(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_manifest(tmp_path / "nope.csv")

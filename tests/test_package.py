@@ -61,6 +61,35 @@ def test_sigma_has_one_owner():
                            "gaussian_filter"}
 
 
+def test_sampling_settings_are_constants():
+    # The paper fixes Saak's sampling: the texture threshold and the
+    # stage-2 window geometry are constants, not arguments. Stage 1 keeps
+    # block and stride, which the traced benchmark reads positionally.
+    assert list(inspect.signature(saakiqa.saak.extract_training_patches).parameters) == [
+        "img", "block", "stride"]
+    assert list(inspect.signature(saakiqa.saak.extract_feature_windows).parameters) == [
+        "features"]
+    assert saakiqa.saak.STD_THRESHOLD == 2.0
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch):
+    # The first python block of the README runs as written, on images and
+    # a manifest with the file names it uses.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    ref = make_textured_image(43, 64, 64)
+    saakiqa.write_pgm(ref, tmp_path / "lighthouse.pgm")
+    rows = ["ref,dist,mos,codec"]
+    for q in (10, 30):
+        saakiqa.write_pgm(synth_distort(ref, 2.0 * q), tmp_path / f"lighthouse_q{q}.pgm")
+        rows.append(f"lighthouse.pgm,lighthouse_q{q}.pgm,{q / 10},jpeg")
+    (tmp_path / "pairs.csv").write_text("\n".join(rows) + "\n")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert [r.ok for r in namespace["report"].results] == [True, True]
+
+
 @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
 def test_version_has_one_owner():
     # pyproject.toml reads the version from saakiqa._version at build time.

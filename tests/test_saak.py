@@ -45,7 +45,7 @@ def _bright_features():
     2.5), where a covariance formed without centring first loses digits."""
     img = make_textured_image(30, 128, 128)
     bright = 235.0 + 0.08 * (img - img.mean())
-    stage1 = train_stage(extract_training_patches(bright, 4, 1, 0.0))
+    stage1 = train_stage(extract_feature_windows(bright[:, :, None]))
     return sp_convert(forward_stage(bright[:, :, None], stage1))
 
 
@@ -58,7 +58,7 @@ def _oracle_inputs():
     """
     rng = np.random.default_rng(2)
     noise = rng.normal(0, 30, (300, 16))
-    windows = extract_feature_windows(_bright_features(), 4)
+    windows = extract_feature_windows(_bright_features())
     assert windows.shape == (841, 496)
     deficient = rng.normal(100, 30, (100, 496))
     return [(noise, 1), (windows, 31), (deficient, 31)]
@@ -84,15 +84,15 @@ class TestExtractTrainingPatches:
         img = np.arange(64, dtype=np.float64).reshape(8, 8)
         for block, stride in ((4, -1), (4, 0), (0, 1), (-4, 2)):
             with pytest.raises(ValueError, match="block and stride"):
-                extract_training_patches(img, block, stride, 2.0)
+                extract_training_patches(img, block, stride)
 
     def test_constant_image_has_no_samples(self):
         with pytest.raises(NoTrainingSamplesError):
-            extract_training_patches(np.full((16, 16), 77.0), 4, 1, 2.0)
+            extract_training_patches(np.full((16, 16), 77.0), 4, 1)
 
     def test_single_textured_patch(self):
         img = np.arange(16, dtype=np.float64).reshape(4, 4)
-        patches = extract_training_patches(img, 4, 1, 2.0)
+        patches = extract_training_patches(img, 4, 1)
         assert patches.shape == (1, 16)
         np.testing.assert_array_equal(patches[0], np.arange(16))
         # Oracle: population standard deviation computed from first
@@ -105,12 +105,12 @@ class TestExtractTrainingPatches:
     def test_stride_grid_count(self):
         rng = np.random.default_rng(3)
         img = rng.uniform(0, 255, (8, 8))
-        patches = extract_training_patches(img, 4, 2, 0.0)
+        patches = extract_training_patches(img, 4, 2)
         assert patches.shape == (9, 16)
 
     def test_row_major_vectorization(self):
         img = np.arange(25, dtype=np.float64).reshape(5, 5)
-        patches = extract_training_patches(img, 2, 1, 0.0)
+        patches = extract_training_patches(img, 2, 1)
         np.testing.assert_array_equal(patches[0], [0, 1, 5, 6])
 
 
@@ -479,10 +479,10 @@ def _window_matrix_oracle(ref):
     :func:`_channel_major_stage`, stage 2 on the contiguous window matrix
     from :func:`extract_feature_windows`, and the S/P grid it came from."""
     stage1 = _channel_major_stage(extract_training_patches(
-        ref, saak.BLOCK_SIZE, saak.TRAIN_STRIDE, saak.STD_THRESHOLD), 1)
+        ref, saak.BLOCK_SIZE, saak.TRAIN_STRIDE), 1)
     f = sp_convert(forward_stage(ref[:, :, None], stage1))
     cols = f.shape[1] - saak.BLOCK_SIZE + 1
-    return stage1, _channel_major_stage(extract_feature_windows(f, 4), cols), f
+    return stage1, _channel_major_stage(extract_feature_windows(f), cols), f
 
 
 def _assert_identical_stages(got, want):
@@ -548,7 +548,7 @@ class TestTrainModel:
             _assert_identical_stages(train_model(ref), (stage1, stage2))
         for f in grids:
             view = sliding_window_view(f, (4, 4), axis=(0, 1))
-            flat = extract_feature_windows(f, 4)
+            flat = extract_feature_windows(f)
             assert np.shares_memory(view, f)
             want = [_channel_major_stage(flat, view.shape[1])]
             for x in (view, flat):
@@ -632,15 +632,9 @@ class TestTrainModel:
         monkeypatch.setattr(saak, "_CENTRED_BLOCK", 1 << 62)
         _assert_identical_stages(default, train_model(ref))
 
-    def test_feature_windows_block_and_stride_must_be_positive(self):
-        f = np.zeros((6, 6, 3))
-        for block, stride in ((4, -1), (4, 0), (0, 1), (-4, 2)):
-            with pytest.raises(ValueError, match="block and stride"):
-                extract_feature_windows(f, block, stride)
-
     def test_stage2_window_layout(self):
         f = np.arange(5 * 5 * 3, dtype=np.float64).reshape(5, 5, 3)
-        wins = extract_feature_windows(f, 4, stride=1)
+        wins = extract_feature_windows(f)
         assert wins.shape == (4, 48)
         expected = np.concatenate([f[0:4, 0:4, c].ravel() for c in range(3)])
         np.testing.assert_array_equal(wins[0], expected)
