@@ -23,19 +23,6 @@ from .image import crop_to_multiple, filter_radius, read_pgm, write_pgm
 from .metric import CODEC_LAMBDAS, SIGMA, QualityConfig, assess
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage problems; this CLI reserves 2
-    # for data errors, so convert to an exception handled in cli_main.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise _UsageError(message)
-
-
 def _checked(rule):
     """An argparse type: ``float(text)`` once ``rule``, the library's own
     check of the setting, accepts it. Its ``ValueError``, or
@@ -50,7 +37,7 @@ def _checked(rule):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="saakiqa", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="saakiqa", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"saakiqa {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -132,7 +119,10 @@ def _do_distort(args) -> int:
 def cli_main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError:
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; this CLI keeps 2 for data errors.
+        if exc.code != 2:
+            raise
         return 1
     handler = {"score": _do_score, "eval": _do_eval, "distort": _do_distort}
     try:

@@ -147,16 +147,12 @@ def parse_manifest(path) -> list[EvalRecord]:
             if codec not in CODEC_LAMBDAS:
                 codec = "other"
             records.append(EvalRecord(
-                ref_path=_resolve(base, ref),
-                dist_path=_resolve(base, dist),
+                ref_path=os.path.join(base, ref),
+                dist_path=os.path.join(base, dist),
                 mos=mos,
                 codec=codec,
             ))
     return records
-
-
-def _resolve(base: str, p: str) -> str:
-    return p if os.path.isabs(p) else os.path.join(base, p)
 
 
 def _once(fn):

@@ -187,8 +187,8 @@ class Reference:
     was prepared with. ``terms`` holds the reference side of
     :func:`channel_stats` computed once from ``f_ref``: besides
     per-channel vectors, the centred feature maps, one more array the size
-    of ``f_ref``. ``f_ref`` and ``terms`` are read-only, so the two cannot
-    drift apart.
+    of ``f_ref``. Every array of ``model``, ``f_ref`` and ``terms`` is
+    read-only, so none can drift apart from the others.
     """
 
     image: np.ndarray
@@ -216,7 +216,7 @@ def prepare_reference(ref, sigma: float = SIGMA) -> Reference:
     f_ref = forward(filtered, model)
     maps = f_ref.reshape(-1, f_ref.shape[2])
     terms = _reference_terms(maps, np.empty(maps.shape))
-    for a in (f_ref, *terms):
+    for a in (f_ref, *terms, *(x for s in model for x in (s.kernels, s.eigenvalues))):
         a.flags.writeable = False
     return Reference(image, model, f_ref, sigma, terms)
 

@@ -238,7 +238,7 @@ def train_stage(samples, *, input_channels: int = 1) -> SaakStage:
         xc = block.reshape(-1, d)
         if start:
             gram += xc.T @ xc
-        else:
+        else:  # a zeroed Gram would raise the peak when one block holds all windows
             gram = xc.T @ xc
     del buf, block, xc
     order = np.arange(d).reshape(x.shape[2:]).transpose(2, 0, 1).ravel()

@@ -56,14 +56,12 @@ def pearson(x, y) -> float:
     if np.all(a == a[0]) or np.all(b == b[0]):
         raise DegenerateVarianceError("constant input has undefined correlation")
     # Power-of-two scaling is exact: the result is unchanged, while the means
-    # and dot products can neither overflow nor underflow.
+    # and dot products can neither overflow nor underflow. Some entry is at
+    # least 2**-54 from the largest, in [0.5, 1), so da @ da and db @ db > 0.
     a, b = _unit_scaled(a), _unit_scaled(b)
     da = a - a.mean()
     db = b - b.mean()
-    denom = np.sqrt((da @ da) * (db @ db))
-    if denom == 0.0:
-        raise DegenerateVarianceError("zero variance")
-    return float(np.clip((da @ db) / denom, -1.0, 1.0))
+    return float(np.clip((da @ db) / np.sqrt((da @ da) * (db @ db)), -1.0, 1.0))
 
 
 def _unit_scaled(v: np.ndarray) -> np.ndarray:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import saakiqa
 from saakiqa import psnr, read_pgm, synth_distort, write_pgm
 from saakiqa.cli import cli_main
 from conftest import make_textured_image
@@ -229,3 +233,33 @@ class TestEval:
 
     def test_unknown_subcommand_is_usage_error(self):
         assert cli_main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_version_and_help_exit_zero_on_stdout(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([flag])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    if flag == "--version":
+        assert out == f"saakiqa {saakiqa.__version__}\n"
+    else:
+        assert out.startswith("usage: saakiqa") and "{score,eval,distort}" in out
+    assert err == ""
+
+
+def test_module_entry_point():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(saakiqa.__file__))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "saakiqa.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    version = run("--version")
+    assert (version.returncode, version.stdout, version.stderr) == (
+        0, f"saakiqa {saakiqa.__version__}\n", "")
+    usage = run("score")
+    assert usage.returncode == 1
+    assert usage.stdout == ""
+    assert usage.stderr.startswith("usage: saakiqa score")
+    assert "saakiqa score: error: the following arguments are required" in usage.stderr

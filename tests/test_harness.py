@@ -69,6 +69,15 @@ class TestParseManifest:
         assert rec.mos == pytest.approx(3.21)
         assert rec.ref_path == os.path.join(str(tmp_path), "imgs/a.pgm")
 
+    def test_absolute_path_kept_relative_path_joined(self, tmp_path):
+        nested = tmp_path / "sets" / "live"
+        nested.mkdir(parents=True)
+        ref = str(tmp_path / "refs" / "a.pgm")
+        p = _write_manifest(nested, [(ref, "q/a_q10.pgm", 1.0, "jpeg")])
+        rec = parse_manifest(p)[0]
+        assert rec.ref_path == ref
+        assert rec.dist_path == os.path.join(str(nested), "q/a_q10.pgm")
+
     def test_unknown_codec_maps_to_other(self, tmp_path):
         p = _write_manifest(tmp_path, [("a.pgm", "b.pgm", 1.0, "JP2K")])
         assert parse_manifest(p)[0].codec == "other"

@@ -243,7 +243,8 @@ class TestAssess:
     def test_prepared_arrays_are_read_only(self, textured_image):
         img = textured_image(39, 64, 64)
         prepared = prepare_reference(img)
-        for arr in (prepared.f_ref, *prepared.terms):
+        model = [a for stage in prepared.model for a in (stage.kernels, stage.eigenvalues)]
+        for arr in (prepared.f_ref, *prepared.terms, *model):
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1.0
         # The caller's image is left as it was given.

@@ -127,6 +127,11 @@ class TestPearson:
                     -0.5, abs=1e-15)
             assert pearson([1e308, 1e308, -1e308], [1, 2, 3]) == pytest.approx(
                 -np.sqrt(0.75), abs=1e-15)
+            # Inputs one step from constant still have a nonzero variance.
+            for x in ([0.5, 0.5, np.nextafter(0.5, 1.0)], [5e-324, 0.0, 0.0],
+                      [1e300, 1e-300, 1e-300], [1.0, 1.0, 1.0 + 2**-52, 1.0]):
+                r = pearson(x, range(len(x)))
+                assert math.isfinite(r) and -1.0 <= r <= 1.0, x
 
     def test_bit_identical_to_unscaled_formula(self):
         def unscaled(x, y):
