@@ -11,6 +11,7 @@ linear in the number of scores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -121,12 +122,16 @@ def kendall_tau_b(x, y) -> float:
     a, b = _pair(x, y)
     ra, ca = _dense_ranks(a)
     rb, cb = _dense_ranks(b)
-    cab = _dense_ranks(ra * (rb.max() + 1) + rb)[1]
+    # Sorting the joint key sorts the rows by (a, b): its runs are the
+    # groups tied in both, and an inversion of b's ranks is a discordant pair.
+    key = ra * (rb.max() + 1) + rb
+    order = np.argsort(key, kind="stable")
+    sk = key[order]
+    cab = np.diff(np.flatnonzero(np.r_[True, sk[1:] != sk[:-1], True]))
     n0 = a.size * (a.size - 1) // 2
-    # Pairs tied in a, in b and in both; with the rows sorted by (a, b), an
-    # inversion of b's ranks is a discordant pair.
+    # Pairs tied in a, in b and in both.
     n1, n2, n3 = (int(np.sum(c * (c - 1))) // 2 for c in (ca, cb, cab))
-    discordant = _count_inversions(rb[np.lexsort((rb, ra))])
+    discordant = _count_inversions(rb[order])
     s = n0 - n1 - n2 + n3 - 2 * discordant
     denom = np.sqrt(float(n0 - n1) * float(n0 - n2))
     if denom == 0.0:
@@ -184,72 +189,89 @@ def logistic5_eval(beta, x):
     """
     b1, b2, b3, b4, b5 = np.asarray(beta, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    q = b1 * _sigmoid(b2, b3, x) + b4 * x + b5
+    t = np.empty_like(x)
+    q = b1 * _sigmoid(b2, b3, x, t, t) + b4 * x + b5
     return float(q) if q.ndim == 0 else q
 
 
-def _sigmoid(b2, b3, x):
-    """The curve's centred sigmoid 1/2 - 1/(1 + exp(b2*(x - b3))), clipped."""
-    t = np.clip(b2 * (x - b3), -_LOGISTIC_CLIP, _LOGISTIC_CLIP)
-    return 0.5 - 1.0 / (1.0 + np.exp(t))
+def _sigmoid(b2, b3, x, t, out):
+    """Write the curve's centred sigmoid 1/2 - 1/(1 + exp(b2*(x - b3))),
+    clipped, into ``out`` and return it. ``t`` is contiguous scratch shaped
+    like ``x``, so ``exp`` runs on contiguous data whatever the stride of
+    ``out``; it may be ``out``."""
+    np.subtract(x, b3, out=t)
+    np.multiply(b2, t, out=t)
+    np.clip(t, -_LOGISTIC_CLIP, _LOGISTIC_CLIP, out=t)
+    np.exp(t, out=t)
+    np.add(1.0, t, out=t)
+    np.divide(1.0, t, out=t)
+    return np.subtract(0.5, t, out=out)
 
 
-def _nelder_mead(fun, x0, max_iter):
-    """Minimize ``fun`` by the standard simplex schedule.
+def _nelder_mead(fun, x0, f0, max_iter):
+    """Minimize ``fun(u, v)`` by the standard simplex schedule, from the
+    point ``x0`` whose value ``f0`` the caller already has.
 
-    Stops when the relative spread of simplex values drops below the
-    configured tolerance or the iteration budget runs out. Fully
+    Stops, converged, by either of two rules: the spread rule, when the
+    relative spread of the vertex values drops below ``_NM_SPREAD_TOL``,
+    or the diameter rule, when no vertex coordinate is farther than
+    1e-12 * (1 + the best vertex's largest magnitude) from the best
+    vertex's. Otherwise it stops unconverged when ``max_iter`` iterations
+    are spent. The arithmetic is that of the schedule on a numpy (3, 2)
+    vertex array, done on Python floats in the same order: the centroid
+    of the two best vertices p0, p1 is ``(p0 + p1) / 2`` per coordinate,
+    and vertices are ordered by a stable sort of their values. Fully
     deterministic. Returns (best_x, best_f, iterations, converged).
     """
-    n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    for i in range(n):
-        if sim[i + 1, i] != 0.0:
-            sim[i + 1, i] *= 1.05
-        else:
-            sim[i + 1, i] = 0.00025
-    fsim = np.array([fun(p) for p in sim])
+    def vertex(u, v):
+        return fun(u, v), u, v
+
+    u, v = x0
+    # Vertices are (value, u, v); each start coordinate is stepped by 5 %,
+    # or off zero by a fixed offset.
+    sim = [(f0, u, v), vertex(u * 1.05 if u != 0.0 else 0.00025, v),
+           vertex(u, v * 1.05 if v != 0.0 else 0.00025)]
 
     iterations = 0
     converged = False
     while iterations < max_iter:
-        order = np.argsort(fsim, kind="stable")
-        sim, fsim = sim[order], fsim[order]
-        spread = (fsim[-1] - fsim[0]) / max(fsim[0], 1e-30)
+        sim.sort(key=itemgetter(0))
+        (fb, ub, vb), (fm, um, vm), (fw, uw, vw) = sim
+        spread = (fw - fb) / max(fb, 1e-30)
         # The diameter rule ends the machine-epsilon jitter phase once the
         # vertices have collapsed onto the minimizer.
-        diameter = np.max(np.abs(sim[1:] - sim[0]))
-        if spread < _NM_SPREAD_TOL or diameter <= 1e-12 * (1.0 + np.max(np.abs(sim[0]))):
+        diameter = max(abs(um - ub), abs(vm - vb), abs(uw - ub), abs(vw - vb))
+        if spread < _NM_SPREAD_TOL or diameter <= 1e-12 * (1.0 + max(abs(ub), abs(vb))):
             converged = True
             break
         iterations += 1
 
-        centroid = sim[:-1].mean(axis=0)
-        xr = centroid + _NM_ALPHA * (centroid - sim[-1])
-        fr = fun(xr)
-        if fr < fsim[0]:
-            xe = centroid + _NM_GAMMA * (centroid - sim[-1])
-            fe = fun(xe)
-            sim[-1], fsim[-1] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fr
+        cu, cv = (ub + um) / 2, (vb + vm) / 2
+        ru, rv = cu + _NM_ALPHA * (cu - uw), cv + _NM_ALPHA * (cv - vw)
+        fr = fun(ru, rv)
+        if fr < fb:
+            eu, ev = cu + _NM_GAMMA * (cu - uw), cv + _NM_GAMMA * (cv - vw)
+            fe = fun(eu, ev)
+            sim[2] = (fe, eu, ev) if fe < fr else (fr, ru, rv)
+        elif fr < fm:
+            sim[2] = (fr, ru, rv)
         else:
-            if fr < fsim[-1]:
-                xc = centroid + _NM_RHO * (xr - centroid)
-                fc = fun(xc)
-                accept = fc <= fr
+            if fr < fw:
+                ku, kv = cu + _NM_RHO * (ru - cu), cv + _NM_RHO * (rv - cv)
+                fk = fun(ku, kv)
+                accept = fk <= fr
             else:
-                xc = centroid - _NM_RHO * (centroid - sim[-1])
-                fc = fun(xc)
-                accept = fc < fsim[-1]
+                ku, kv = cu - _NM_RHO * (cu - uw), cv - _NM_RHO * (cv - vw)
+                fk = fun(ku, kv)
+                accept = fk < fw
             if accept:
-                sim[-1], fsim[-1] = xc, fc
+                sim[2] = (fk, ku, kv)
             else:
-                sim[1:] = sim[0] + _NM_SIGMA * (sim[1:] - sim[0])
-                fsim[1:] = [fun(p) for p in sim[1:]]
+                sim[1:] = [vertex(ub + _NM_SIGMA * (pu - ub), vb + _NM_SIGMA * (pv - vb))
+                           for _, pu, pv in sim[1:]]
 
-    best = int(np.argmin(fsim))
-    return sim[best].copy(), float(fsim[best]), iterations, converged
+    fb, ub, vb = min(sim, key=itemgetter(0))
+    return (ub, vb), fb, iterations, converged
 
 
 def logistic5_fit(scores, mos) -> LogisticFit:
@@ -264,6 +286,11 @@ def logistic5_fit(scores, mos) -> LogisticFit:
     ``sse`` is that of :func:`logistic5_eval` at the returned ``beta``.
     Deterministic for identical input; ``converged=False`` flags budget
     exhaustion, with the best point so far still returned.
+
+    The cost is one ``lstsq`` solve per vertex the simplex visits, on one
+    (n, 3) design whose sigmoid column each solve rewrites, plus one for
+    the returned coefficients. The start vertex's SSE is reused across
+    restarts, never solved again.
     """
     x, y = _pair(scores, mos)
     if x.size < MIN_REGRESSION_N:
@@ -272,21 +299,29 @@ def logistic5_fit(scores, mos) -> LogisticFit:
     if np.all(x == x[0]):
         raise DegenerateVarianceError("constant scores cannot be regressed")
 
-    ones = np.ones_like(x)
+    design = np.empty((x.size, 3))
+    design[:, 1] = x
+    design[:, 2] = 1.0
+    sigmoid = design[:, 0]
+    t = np.empty_like(x)
+    r = np.empty_like(x)
 
-    def profile(nl):
-        design = np.column_stack([_sigmoid(nl[0], nl[1], x), x, ones])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        r = design @ coef - y
+    def profile(b2, b3):
+        _sigmoid(b2, b3, x, t, sigmoid)
+        coef = np.linalg.lstsq(design, y, rcond=None)[0]
+        np.matmul(design, coef, out=r)
+        np.subtract(r, y, out=r)
         return float(r @ r), coef
 
-    nl0 = np.array([1.0 / x.std(), x.mean()])
-    best, best_f = nl0, profile(nl0)[0]
+    def sse(b2, b3):
+        return profile(b2, b3)[0]
+
+    best = (float(1.0 / x.std()), float(x.mean()))
+    best_f = sse(*best)
     total_iter = 0
     converged = False
     while total_iter < _NM_MAX_ITER:
-        pt, f, used, ok = _nelder_mead(
-            lambda nl: profile(nl)[0], best, _NM_MAX_ITER - total_iter)
+        pt, f, used, ok = _nelder_mead(sse, best, best_f, _NM_MAX_ITER - total_iter)
         total_iter += used
         improved = f < best_f - 1e-12 * max(1.0, best_f)
         if f < best_f:
@@ -295,7 +330,7 @@ def logistic5_fit(scores, mos) -> LogisticFit:
             converged = ok
             break
 
-    coef = profile(best)[1]
+    coef = profile(*best)[1]
     beta = np.array([coef[0], best[0], best[1], coef[1], coef[2]])
     r = logistic5_eval(beta, x) - y
     return LogisticFit(beta=beta, sse=float(r @ r), converged=converged,

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import saakiqa
+from saakiqa import stats
 from saakiqa import (
     DegenerateVarianceError,
     DimensionMismatchError,
@@ -221,6 +227,22 @@ class TestKendall:
         mos = np.round(50.0 + 40.0 * scores + rng.normal(0.0, 8.0, size=2000), 1)
         assert kendall_tau_b(scores, mos) == _kendall_sign_matrix_oracle(scores, mos)
 
+    def test_two_points(self):
+        assert kendall_tau_b([1.0, 2.0], [3.0, 4.0]) == 1.0
+        assert kendall_tau_b([1.0, 2.0], [4.0, 3.0]) == -1.0
+        with pytest.raises(DegenerateVarianceError):
+            kendall_tau_b([1.0, 2.0], [3.0, 3.0])
+
+    def test_all_distinct(self):
+        # No ties on either side: tau is (concordant - discordant) / n0.
+        rng = np.random.default_rng(13)
+        for n in (3, 4, 17, 64, 300):
+            x = rng.permutation(n) * 0.5 - 7.0
+            y = rng.normal(size=n)
+            assert kendall_tau_b(x, y) == _kendall_sign_matrix_oracle(x, y)
+            assert kendall_tau_b(x, y) == pytest.approx(
+                _kendall_oracle(x, y), abs=1e-12)
+
     def test_extreme_magnitudes_no_overflow(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -288,6 +310,198 @@ class TestPsnr:
         assert psnr([[1.7e308]], [[-1.7e308]]) == pytest.approx(
             peak - 20 * (np.log10(3.4) + 308), rel=1e-12)
 
+
+def _reference_logistic5_eval(beta, x):
+    """The curve as a fresh-array formula, without :func:`stats._sigmoid`."""
+    b1, b2, b3, b4, b5 = np.asarray(beta, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    t = np.clip(b2 * (x - b3), -stats._LOGISTIC_CLIP, stats._LOGISTIC_CLIP)
+    q = b1 * (0.5 - 1.0 / (1.0 + np.exp(t))) + b4 * x + b5
+    return float(q) if q.ndim == 0 else q
+
+
+def _reference_nelder_mead(fun, x0, max_iter):
+    """The simplex on a numpy (3, 2) vertex array, which
+    :func:`stats._nelder_mead` runs on Python floats."""
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for i in range(n):
+        if sim[i + 1, i] != 0.0:
+            sim[i + 1, i] *= 1.05
+        else:
+            sim[i + 1, i] = 0.00025
+    fsim = np.array([fun(p) for p in sim])
+
+    iterations = 0
+    converged = False
+    while iterations < max_iter:
+        order = np.argsort(fsim, kind="stable")
+        sim, fsim = sim[order], fsim[order]
+        spread = (fsim[-1] - fsim[0]) / max(fsim[0], 1e-30)
+        diameter = np.max(np.abs(sim[1:] - sim[0]))
+        if spread < stats._NM_SPREAD_TOL or diameter <= 1e-12 * (1.0 + np.max(np.abs(sim[0]))):
+            converged = True
+            break
+        iterations += 1
+
+        centroid = sim[:-1].mean(axis=0)
+        xr = centroid + stats._NM_ALPHA * (centroid - sim[-1])
+        fr = fun(xr)
+        if fr < fsim[0]:
+            xe = centroid + stats._NM_GAMMA * (centroid - sim[-1])
+            fe = fun(xe)
+            sim[-1], fsim[-1] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fr
+        else:
+            if fr < fsim[-1]:
+                xc = centroid + stats._NM_RHO * (xr - centroid)
+                fc = fun(xc)
+                accept = fc <= fr
+            else:
+                xc = centroid - stats._NM_RHO * (centroid - sim[-1])
+                fc = fun(xc)
+                accept = fc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fc
+            else:
+                sim[1:] = sim[0] + stats._NM_SIGMA * (sim[1:] - sim[0])
+                fsim[1:] = [fun(p) for p in sim[1:]]
+
+    best = int(np.argmin(fsim))
+    return sim[best].copy(), float(fsim[best]), iterations, converged
+
+
+def _reference_logistic5_fit(scores, mos):
+    """The fit with a fresh ``column_stack`` design per profile evaluation,
+    each restart solving its start vertex again; the package's buffered
+    fit must return the same bits."""
+    x = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(mos, dtype=np.float64)
+    ones = np.ones_like(x)
+
+    def profile(nl):
+        t = np.clip(nl[0] * (x - nl[1]), -stats._LOGISTIC_CLIP, stats._LOGISTIC_CLIP)
+        design = np.column_stack([0.5 - 1.0 / (1.0 + np.exp(t)), x, ones])
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        r = design @ coef - y
+        return float(r @ r), coef
+
+    nl0 = np.array([1.0 / x.std(), x.mean()])
+    best, best_f = nl0, profile(nl0)[0]
+    total_iter = 0
+    converged = False
+    while total_iter < stats._NM_MAX_ITER:
+        pt, f, used, ok = _reference_nelder_mead(
+            lambda nl: profile(nl)[0], best, stats._NM_MAX_ITER - total_iter)
+        total_iter += used
+        improved = f < best_f - 1e-12 * max(1.0, best_f)
+        if f < best_f:
+            best, best_f = pt, f
+        if (ok and not improved) or used == 0:
+            converged = ok
+            break
+
+    coef = profile(best)[1]
+    beta = np.array([coef[0], best[0], best[1], coef[1], coef[2]])
+    r = _reference_logistic5_eval(beta, x) - y
+    return beta, float(r @ r), total_iter, converged
+
+
+def _ridge_example():
+    # b1 ~ -7.9e13: the sigmoid column is nearly a step, the fit sits on a
+    # ridge, and any last-bit change of the SSE moves it.
+    x = np.sort(1.0 - np.geomspace(2e-4, 2e-2, 20))
+    y = np.round(20.0 + 3000.0 * (x - x.min())
+                 + np.random.default_rng(1).normal(0, 5, 20), 1)
+    return x, y
+
+
+def _tied_sample(seed, n):
+    """Manifest-scale scores (3 decimals) and MOS (1 decimal), both tied."""
+    rng = np.random.default_rng(seed)
+    latent = rng.uniform(0.0, 1.0, n)
+    scores = np.round(0.55 + 0.4 * np.tanh(3.0 * (latent - 0.5))
+                      + rng.normal(0.0, 0.03, n), 3)
+    return scores, np.round(10.0 + 80.0 * latent + rng.normal(0.0, 6.0, n), 1)
+
+
+def _assert_same_fit(x, y):
+    fit = logistic5_fit(x, y)
+    beta, sse, iterations, converged = _reference_logistic5_fit(x, y)
+    assert fit.beta.tobytes() == beta.tobytes()
+    assert fit.sse == sse
+    assert (fit.iterations, fit.converged) == (iterations, converged)
+    return fit
+
+
+class TestLogisticFitOracle:
+    def test_ridge_example(self):
+        fit = _assert_same_fit(*_ridge_example())
+        assert fit.beta[0] < -1e13
+
+    def test_zero_mean_grid_takes_the_offset_branch(self):
+        x = np.arange(-20.0, 21.0) / 4.0
+        assert x.mean() == 0.0
+        _assert_same_fit(x, logistic5_eval([2.0, 1.0, 0.5, 0.1, 3.0], x))
+
+    def test_fewest_points(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=stats.MIN_REGRESSION_N)
+        _assert_same_fit(x, np.tanh(x) + 0.1 * rng.normal(size=x.size))
+
+    def test_noise(self):
+        rng = np.random.default_rng(5)
+        _assert_same_fit(rng.normal(size=25), rng.normal(size=25))
+
+    def test_tied_manifest_scale_sample(self):
+        _assert_same_fit(*_tied_sample(17, 3000))
+
+    def test_budget_exhausted(self, monkeypatch):
+        # A spent budget stops the simplex before it sorts its vertices, so
+        # the best one is picked from an unsorted simplex.
+        x, y = _tied_sample(3, 200)
+        for budget in (1, 7, 40):
+            monkeypatch.setattr(stats, "_NM_MAX_ITER", budget)
+            fit = _assert_same_fit(x, y)
+            assert (fit.iterations, fit.converged) == (budget, False)
+
+    def test_one_blas_thread_gives_the_same_bits(self):
+        # The thread count is read when numpy loads, so each side runs in a
+        # fresh interpreter.
+        code = ("import numpy as np\n"
+                "from test_stats import _ridge_example, _tied_sample\n"
+                "from saakiqa import logistic5_fit\n"
+                "for x, y in (_ridge_example(), _tied_sample(17, 3000)):\n"
+                "    f = logistic5_fit(x, y)\n"
+                "    print(f.beta.tobytes().hex(), f.sse.hex(), f.iterations, f.converged)\n")
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        default = {k: v for k, v in os.environ.items() if k not in threads}
+        src = str(Path(saakiqa.__file__).resolve().parents[1])
+        tests = str(Path(__file__).resolve().parent)
+        outputs = []
+        for env in (default, {**default, **dict.fromkeys(threads, "1")}):
+            env["PYTHONPATH"] = os.pathsep.join([src, tests])
+            run = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert len(outputs[0].splitlines()) == 2
+        assert outputs[0] == outputs[1]
+
+
+class TestLogisticEval:
+    def test_matches_fresh_array_formula(self):
+        beta = [3.5, -2.0, 0.25, 0.5, -1.0]
+        x = np.random.default_rng(6).normal(size=500) * 100.0
+        for value in (0.25, 0.3, -0.0, 1e9, -1e9, *x[:20]):
+            got = logistic5_eval(beta, value)
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == np.float64(
+                _reference_logistic5_eval(beta, value)).tobytes()
+        for xs in (x, x.reshape(20, 25), np.array([-1e9, 1e9, 0.0])):
+            assert logistic5_eval(beta, xs).tobytes() == _reference_logistic5_eval(
+                beta, xs).tobytes()
 
 class TestLogisticEval:
     def test_center_point(self):
