@@ -203,7 +203,7 @@ def _filtered(img: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def prepare_reference(ref, sigma: float = SIGMA) -> Reference:
-    """Learn the transform from a reference and transform the reference.
+    """Learn the transform from a reference, transforming it in the same pass.
 
     This is the part of :func:`assess` that depends on the reference and
     the pre-filter width ``sigma`` alone, so one prepared reference scores
@@ -211,9 +211,7 @@ def prepare_reference(ref, sigma: float = SIGMA) -> Reference:
     ``filter_radius`` rejects, or wider than the image, raises ``ValueError``.
     """
     image = as_image(ref)
-    filtered = _filtered(image, sigma)
-    model = train_model(filtered)
-    f_ref = forward(filtered, model)
+    model, f_ref = train_model(_filtered(image, sigma))
     maps = f_ref.reshape(-1, f_ref.shape[2])
     terms = _reference_terms(maps, np.empty(maps.shape))
     for a in (f_ref, *terms, *(x for s in model for x in (s.kernels, s.eigenvalues))):
@@ -224,10 +222,10 @@ def prepare_reference(ref, sigma: float = SIGMA) -> Reference:
 def assess(ref, dist, config: QualityConfig | None = None) -> tuple[float, ChannelStats]:
     """Score a distorted image against its reference.
 
-    Pipeline: crop both to the transform's tiling, low-pass both, learn the
-    transform from the filtered reference, transform both, and evaluate the
-    weighted quality function. Returns ``(score, stats)`` so callers can
-    inspect the per-channel diagnostics without recomputation.
+    Pipeline: crop both to the transform's tiling, low-pass both, train on
+    and transform the filtered reference in one pass, transform the
+    distorted image, and evaluate the weighted quality function. Returns
+    ``(score, stats)`` so callers can inspect the per-channel diagnostics.
 
     ``ref`` is an image, prepared with the default pre-filter width
     ``SIGMA``, or a :class:`Reference` from :func:`prepare_reference`,

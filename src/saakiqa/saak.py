@@ -361,24 +361,26 @@ def inverse(features, model: tuple[SaakStage, ...]) -> np.ndarray:
     return x[:, :, 0]
 
 
-def train_model(ref) -> tuple[SaakStage, ...]:
-    """Learn the full transform from a (filtered, cropped) reference image
-    and return its stages in order.
+def train_model(ref) -> tuple[tuple[SaakStage, ...], np.ndarray]:
+    """Learn the full transform from a (filtered, cropped) reference image,
+    transform it by each stage once trained, and return ``(stages, features)``.
 
     Stage 1 trains on overlapped pixel patches passing the texture filter;
     later stages train on stride-1 windows of the previous stage's
-    S/P-converted output with no variance filter. Those windows reach
-    :func:`train_stage` as a zero-copy view of the feature grid, which it
-    centres in blocks of at most 16 MiB, so no n x d window matrix is ever
+    S/P-converted output with no variance filter, which reach
+    :func:`train_stage` as a zero-copy view: no n x d window matrix is
     allocated, and the stage-1 patches are freed before stage 2 starts.
-    Deterministic for identical input.
+    Deterministic; ``features`` is ``forward(ref, stages)`` bit for bit.
+    A reference too small for stage 2 raises :class:`ImageTooSmallError`;
+    other sides not divisible by ``TILE``, :class:`GeometryMismatchError`.
     """
     ref = as_image(ref)
     stages = [train_stage(extract_training_patches(ref, BLOCK_SIZE, TRAIN_STRIDE),
                           input_channels=1)]
-    x = ref[:, :, np.newaxis]
+    x = forward_stage(ref[:, :, np.newaxis], stages[0])
     for _ in range(1, NUM_STAGES):
-        x = sp_convert(forward_stage(x, stages[-1]))
+        x = sp_convert(x)
         stages.append(train_stage(_windows(x, BLOCK_SIZE, 1),
                                   input_channels=x.shape[2]))
-    return tuple(stages)
+        x = forward_stage(x, stages[-1])
+    return tuple(stages), x

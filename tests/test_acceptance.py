@@ -55,7 +55,7 @@ def test_criterion_1_losslessness():
         worst = 0.0
         for _ in range(10):
             img = np.floor(rng.uniform(0.0, 256.0, (64, 64)))
-            model = train_model(img)
+            model = train_model(img)[0]
             rec = inverse(forward(img, model), model)
             worst = max(worst, float(np.abs(rec - img).max()))
         elapsed = time.perf_counter() - start
@@ -66,7 +66,7 @@ def test_criterion_1_losslessness():
 def test_criterion_2_orthonormality():
     with criterion(2, "trained kernel Gram within 1e-9 of identity on 5 images"):
         for seed in (1, 2, 3, 4, 5):
-            model = train_model(make_textured_image(seed, 64, 64))
+            model = train_model(make_textured_image(seed, 64, 64))[0]
             for stage in model:
                 gram = stage.kernels @ stage.kernels.T
                 dev = np.abs(gram - np.eye(stage.dim)).max()
@@ -92,7 +92,7 @@ def test_criterion_4_energy_compaction():
     with criterion(4, "eigenvalues non-increasing; DC energy above median AC"):
         for seed in (1, 2, 3):
             img = make_textured_image(seed, 64, 64)
-            model = train_model(img)
+            model = train_model(img)[0]
             for stage in model:
                 assert np.all(np.diff(stage.eigenvalues) <= 0.0)
             f = forward(img, model)
@@ -195,7 +195,7 @@ def test_criterion_9_parseval():
     with criterion(9, "forward_stage preserves energy within 1e-6 relative"):
         rng = np.random.default_rng(1009)
         stage1 = train_stage(rng.normal(0.0, 50.0, (300, 16)))
-        model = train_model(make_textured_image(4, 64, 64))
+        model = train_model(make_textured_image(4, 64, 64))[0]
         stage2 = model[1]
         for k in range(20):
             if k < 10:

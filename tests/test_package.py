@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -38,6 +39,26 @@ def test_import_needs_only_numpy():
     top = {name.partition(".")[0] for name in run.stdout.split()}
     assert "saakiqa" in top
     assert top - sys.stdlib_module_names - {"numpy", "saakiqa"} == set()
+
+
+def test_no_name_defined_twice_in_one_scope():
+    # A second def or class of a name silently replaces the first, so a
+    # shadowed test class is never collected. Each module body and class
+    # body of the package and of the tests may bind a name by def or class
+    # once.
+    files = [*Path(saakiqa.__file__).resolve().parent.glob("*.py"),
+             *Path(__file__).resolve().parent.glob("*.py")]
+    twice = []
+    for path in sorted(files):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for scope in (tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))):
+            seen = set()
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if node.name in seen:
+                        twice.append(f"{path.name}:{node.lineno} {node.name}")
+                    seen.add(node.name)
+    assert twice == []
 
 
 def test_settings_live_beside_the_score_they_set():

@@ -22,11 +22,14 @@ from saakiqa import (
     QualityConfig,
     assess,
     channel_stats,
+    crop_to_multiple,
     extract_training_patches,
     forward,
     forward_stage,
+    gaussian_filter,
     inverse,
     inverse_stage,
+    prepare_reference,
     ps_convert,
     sp_convert,
     train_model,
@@ -369,13 +372,13 @@ class TestFullTransform:
         for seed, (h, w) in enumerate(((128, 128), (256, 256), (128, 192),
                                        (192, 128))):
             img = textured_image(40 + seed, h, w)
-            model = train_model(img)
+            model = train_model(img)[0]
             assert np.array_equal(forward(img, model),
                                   _forward_batched(img, model))
 
     def test_output_geometry_496(self, textured_image):
         img = textured_image(20, 64, 64)
-        model = train_model(img)
+        model = train_model(img)[0]
         out = forward(img, model)
         assert out.shape == (4, 4, 496)
         assert model[-1].dim == 496
@@ -384,25 +387,25 @@ class TestFullTransform:
 
     def test_forward_deterministic(self, textured_image):
         img = textured_image(21, 64, 64)
-        model = train_model(img)
+        model = train_model(img)[0]
         assert np.array_equal(forward(img, model), forward(img, model))
 
     def test_roundtrip(self):
         rng = np.random.default_rng(22)
         img = np.floor(rng.uniform(0, 256, (32, 32)))
-        model = train_model(img)
+        model = train_model(img)[0]
         rec = inverse(forward(img, model), model)
         assert np.abs(rec - img).max() <= 1e-6
 
     def test_zero_tensor_inverts_to_zero_image(self, textured_image):
         img = textured_image(23, 64, 64)
-        model = train_model(img)
+        model = train_model(img)[0]
         rec = inverse(np.zeros((4, 4, 496)), model)
         np.testing.assert_array_equal(rec, np.zeros((64, 64)))
 
     def test_dc_only_tensor_reconstructs_constant(self, textured_image):
         img = textured_image(24, 64, 64)
-        model = train_model(img)
+        model = train_model(img)[0]
         # Amplitude below the pair-activation threshold: a DC-only tensor
         # feeds equal values into both members of every S/P pair, which is
         # rejected as invalid above that threshold.
@@ -424,14 +427,14 @@ class TestFullTransform:
 
     def test_dc_only_tensor_with_large_amplitude_is_invalid(self, textured_image):
         img = textured_image(24, 64, 64)
-        model = train_model(img)
+        model = train_model(img)[0]
         t = np.zeros((4, 4, 496))
         t[..., 0] = 100.0
         with pytest.raises(InvalidPairError):
             inverse(t, model)
 
     def test_geometry_mismatch(self, textured_image):
-        model = train_model(textured_image(25, 64, 64))
+        model = train_model(textured_image(25, 64, 64))[0]
         with pytest.raises(GeometryMismatchError):
             forward(np.zeros((60, 64)), model)
         with pytest.raises(GeometryMismatchError):
@@ -497,7 +500,7 @@ class TestTrainModel:
         assert (saak.BLOCK_SIZE, saak.NUM_STAGES, saak.TRAIN_STRIDE) == (4, 2, 2)
         assert saak.STD_THRESHOLD == 2.0 and isinstance(saak.STD_THRESHOLD, float)
         assert saak.TILE == 16
-        model = train_model(textured_image(26, 64, 64))
+        model = train_model(textured_image(26, 64, 64))[0]
         assert [stage.dim for stage in model] == [16, 496]
 
     def test_constant_reference_rejected(self):
@@ -506,7 +509,7 @@ class TestTrainModel:
 
     def test_training_is_bitwise_deterministic(self, textured_image):
         img = textured_image(26, 64, 64)
-        _assert_identical_stages(train_model(img), train_model(img))
+        _assert_identical_stages(train_model(img)[0], train_model(img)[0])
 
     def test_tied_eigenvalues_periodic_reference(self):
         # A 4-periodic image has 4 distinct stage-1 patches and spatially
@@ -515,8 +518,8 @@ class TestTrainModel:
         # for bit and give complete orthonormal bases.
         rng = np.random.default_rng(40)
         img = np.tile(np.floor(rng.uniform(0, 256, (4, 4))), (16, 16))
-        m1 = train_model(img)
-        m2 = train_model(img)
+        m1 = train_model(img)[0]
+        m2 = train_model(img)[0]
         for s1, s2 in zip(m1, m2):
             assert np.array_equal(s1.kernels, s2.kernels)
             assert s1.kernels.shape == (s1.dim, s1.dim)
@@ -545,7 +548,7 @@ class TestTrainModel:
         for ref in refs:
             stage1, stage2, f = _window_matrix_oracle(ref)
             grids.append(f)
-            _assert_identical_stages(train_model(ref), (stage1, stage2))
+            _assert_identical_stages(train_model(ref)[0], (stage1, stage2))
         for f in grids:
             view = sliding_window_view(f, (4, 4), axis=(0, 1))
             flat = extract_feature_windows(f)
@@ -570,7 +573,7 @@ class TestTrainModel:
         k = rows_per_block or saak._CENTRED_BLOCK // (cols * 496)
         assert k < rows
         monkeypatch.setattr(saak, "_CENTRED_BLOCK", k * cols * 496)
-        _assert_identical_stages(train_model(ref),
+        _assert_identical_stages(train_model(ref)[0],
                                  _window_matrix_oracle(ref)[:2])
 
     def test_window_matrix_oracles_hold_with_one_blas_thread(self):
@@ -620,7 +623,7 @@ class TestTrainModel:
             monkeypatch.setattr(saak, "_CENTRED_BLOCK", bound)
             return train()
 
-        for bound, train in ((5 * 13 * 496, lambda: train_model(ref)[1]),
+        for bound, train in ((5 * 13 * 496, lambda: train_model(ref)[0][1]),
                              (128 * 16, lambda: train_stage(flat))):
             _assert_same_stage(trained(bound, train), trained(1 << 62, train))
 
@@ -628,9 +631,9 @@ class TestTrainModel:
         # Eval-size references (3721 x 496 stage-2 windows) fit the default
         # bound, so their kernels are the unbounded buffer's bit for bit.
         ref = make_textured_image(35, 256, 256)
-        default = train_model(ref)
+        default = train_model(ref)[0]
         monkeypatch.setattr(saak, "_CENTRED_BLOCK", 1 << 62)
-        _assert_identical_stages(default, train_model(ref))
+        _assert_identical_stages(default, train_model(ref)[0])
 
     def test_stage2_window_layout(self):
         f = np.arange(5 * 5 * 3, dtype=np.float64).reshape(5, 5, 3)
@@ -640,10 +643,54 @@ class TestTrainModel:
         np.testing.assert_array_equal(wins[0], expected)
 
 
+class TestTrainAndTransform:
+    # train_model transforms the reference by each stage right after
+    # training it; its features must be forward's over the same stages.
+
+    @pytest.mark.parametrize("height, width", [(64, 64), (208, 112), (256, 256),
+                                               (512, 512)],
+                             ids=["64x64-rank-deficient", "208x112",
+                                  "256x256-one-block", "512x512-blocks"])
+    def test_features_are_forward_bit_for_bit(self, height, width):
+        ref = make_textured_image(50, height, width)
+        stages, features = train_model(ref)
+        want = forward(ref, stages)
+        assert features.shape == want.shape == (height // 16, width // 16, 496)
+        assert features.dtype == want.dtype
+        assert features.tobytes() == want.tobytes()
+
+    def test_prepared_features_are_forward_of_filtered_reference(self):
+        image = make_textured_image(51, 70, 90)
+        for sigma in (1.0, 2.0):
+            prepared = prepare_reference(image, sigma)
+            filtered = gaussian_filter(crop_to_multiple(image, saak.TILE), sigma)
+            want = forward(filtered, prepared.model)
+            assert prepared.f_ref.tobytes() == want.tobytes()
+
+    def test_reference_not_tiling_raises_geometry_mismatch(self):
+        # 80x72 tiles by the stage-1 block but not by TILE: stage 2 trains on
+        # its 20x18 grid, then cannot split that grid into 4x4 blocks.
+        with pytest.raises(GeometryMismatchError, match="not divisible"):
+            train_model(make_textured_image(52, 80, 72))
+
+    def test_assess_runs_each_stage_once_per_image(self, monkeypatch):
+        calls = []
+        original = saak.forward_stage
+
+        def counted(features, stage):
+            calls.append(stage.dim)
+            return original(features, stage)
+
+        monkeypatch.setattr(saak, "forward_stage", counted)
+        ref = make_textured_image(53, 64, 64)
+        assess(ref, np.clip(ref + 3.0, 0.0, 255.0))
+        assert len(calls) == 2 * saak.NUM_STAGES
+
+
 class TestChannelEnergyCompaction:
     def test_energy_compaction(self, textured_image):
         img = textured_image(28, 64, 64)
-        model = train_model(img)
+        model = train_model(img)[0]
         f = forward(img, model)
         e = channel_stats(f, f).energy
         # Oracle: the mean square evaluated channel by channel.

@@ -503,7 +503,6 @@ class TestLogisticEval:
             assert logistic5_eval(beta, xs).tobytes() == _reference_logistic5_eval(
                 beta, xs).tobytes()
 
-class TestLogisticEval:
     def test_center_point(self):
         beta = [2.0, 1.5, 0.7, 0.3, -1.0]
         assert logistic5_eval(beta, 0.7) == pytest.approx(0.3 * 0.7 - 1.0)
