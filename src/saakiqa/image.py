@@ -7,6 +7,7 @@ rescaling or normalization happens anywhere in the pipeline.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -70,24 +71,18 @@ def read_pgm(path) -> np.ndarray:
         buf = fh.read()
 
     toks = _tokens(buf)
-    try:
-        magic, _ = next(toks)
-    except StopIteration:
-        raise MalformedHeaderError("empty file") from None
+    header = list(itertools.islice(toks, 4))
+    if not header:
+        raise MalformedHeaderError("empty file")
+    magic = header[0][0]
     if magic not in (b"P2", b"P5"):
         raise MalformedHeaderError(f"not a PGM file (magic {magic!r})")
-
-    fields = []
-    end = 0
-    for _ in range(3):
-        try:
-            tok, end = next(toks)
-        except StopIteration:
-            raise MalformedHeaderError("header ends early") from None
-        fields.append(tok)
-    width = _header_int(fields[0], "width")
-    height = _header_int(fields[1], "height")
-    maxval = _header_int(fields[2], "maxval")
+    if len(header) < 4:
+        raise MalformedHeaderError("header ends early")
+    (w_tok, _), (h_tok, _), (m_tok, end) = header[1:]
+    width = _header_int(w_tok, "width")
+    height = _header_int(h_tok, "height")
+    maxval = _header_int(m_tok, "maxval")
     if width <= 0 or height <= 0:
         raise MalformedHeaderError(f"nonpositive dimensions {width}x{height}")
     if maxval <= 0:
@@ -110,7 +105,7 @@ def read_pgm(path) -> np.ndarray:
             raise TruncatedDataError("sample value exceeds declared maxval")
     else:
         samples = []
-        for tok, _ in toks:
+        for tok, _ in itertools.islice(toks, count):
             try:
                 v = int(tok)
             except ValueError:
@@ -118,8 +113,6 @@ def read_pgm(path) -> np.ndarray:
             if v < 0 or v > maxval:
                 raise TruncatedDataError(f"sample {v} outside 0..{maxval}")
             samples.append(v)
-            if len(samples) == count:
-                break
         if len(samples) < count:
             raise TruncatedDataError(
                 f"expected {count} samples, found {len(samples)}")
@@ -141,9 +134,9 @@ def write_pgm(img, path) -> None:
 def crop_to_multiple(img, m: int) -> np.ndarray:
     """Top-left crop so both dimensions are multiples of ``m``.
 
-    Returns the input unchanged when it already tiles exactly. Raises
-    :class:`ImageTooSmallError` when a cropped dimension would fall below
-    one block.
+    Returns a view of the input (the input's own extent when it already
+    tiles exactly). Raises :class:`ImageTooSmallError` when a cropped
+    dimension would fall below one block.
     """
     img = as_image(img)
     if m < 1:
@@ -153,9 +146,7 @@ def crop_to_multiple(img, m: int) -> np.ndarray:
     w2 = (w // m) * m
     if h2 < m or w2 < m:
         raise ImageTooSmallError(f"{w}x{h} image cannot be cropped to a multiple of {m}")
-    if (h2, w2) == (h, w):
-        return img
-    return img[:h2, :w2].copy()
+    return img[:h2, :w2]
 
 
 def _filter_axis(img: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:

@@ -334,14 +334,12 @@ def inverse_stage(coefficients, stage: SaakStage) -> np.ndarray:
 def forward(img, model: tuple[SaakStage, ...]) -> np.ndarray:
     """Full multi-stage transform of an image into signed coefficients.
 
-    Stages are chained with S/P conversion in between; the result keeps the
-    final stage's signed coefficients: ``(H/TILE, W/TILE, K)``.
+    ``model`` is any tuple of stages, chained with S/P conversion in between;
+    each stage's :func:`forward_stage` checks that its input splits into its
+    blocks. The result keeps the final stage's signed coefficients:
+    ``(H/TILE, W/TILE, K)`` for :func:`train_model`'s two stages.
     """
-    img = as_image(img)
-    if img.shape[0] % TILE or img.shape[1] % TILE:
-        raise GeometryMismatchError(
-            f"image {img.shape[1]}x{img.shape[0]} not divisible by {TILE}")
-    x = img[:, :, np.newaxis]
+    x = as_image(img)[:, :, np.newaxis]
     for i, stage in enumerate(model):
         if i:
             x = sp_convert(x)

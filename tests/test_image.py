@@ -135,10 +135,17 @@ class TestReadPgm:
              "sample value exceeds declared maxval"),
             (b"P2\n2 1\n10\n10 11", TruncatedDataError, r"sample 11 outside 0\.\.10"),
             (b"P2\n1 1\n255\n-1", TruncatedDataError, r"sample -1 outside 0\.\.255"),
+            # A wrong magic is reported before a short header; a file of
+            # comments alone holds no token.
+            (b"P6", MalformedHeaderError, "not a PGM file"),
+            (b"# only a comment\n", MalformedHeaderError, "empty file"),
         ]
         for payload, error, match in cases:
             with pytest.raises(error, match=match):
                 read_pgm(_write(tmp_path, "a.pgm", payload))
+        # Tokens after the last sample are never range-checked.
+        np.testing.assert_array_equal(
+            read_pgm(_write(tmp_path, "a.pgm", b"P2\n1 1\n255\n7 999")), [[7.0]])
 
     def test_roundtrip_is_lossless(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -166,6 +173,7 @@ class TestCropToMultiple:
         out = crop_to_multiple(img, 16)
         assert out.shape == (16, 32)
         np.testing.assert_array_equal(out, img[:16, :32])
+        assert np.shares_memory(out, img)
 
     def test_identity_when_aligned(self):
         img = np.zeros((64, 64))

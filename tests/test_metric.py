@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import make_textured_image
 
+from saakiqa import saak
 from saakiqa import (
     CODEC_LAMBDAS,
     ChannelStats,
@@ -330,3 +337,47 @@ class TestPreparedReferenceEnergy:
         e = prepare_reference(textured_image(33, 64, 64)).terms.mean_square
         assert e.shape == (496,)
         assert e[0] > np.median(e[1:])
+
+
+# 256x256 references hold 61 x 61 stage-2 windows, which default training
+# centres in one block; their scores must not depend on the centring block
+# bound or on the BLAS thread count.
+SCORE_GUARD_QSTEPS = (8.0, 32.0, 128.0)
+
+
+@pytest.fixture(scope="module")
+def pairs_256():
+    """Reference/distorted pairs at 256x256 and their default-setting scores."""
+    pairs = []
+    for seed in (301, 302):
+        ref = make_textured_image(seed, 256, 256)
+        pairs += [(ref, synth_distort(ref, q)) for q in SCORE_GUARD_QSTEPS]
+    return pairs, np.array([assess(ref, dist)[0] for ref, dist in pairs])
+
+
+class TestScoresAt256:
+    def test_centring_blocks_leave_scores_unchanged(self, monkeypatch, pairs_256):
+        # Five of the 61 window rows per block: blocks of 5 rows and one of 1.
+        pairs, want = pairs_256
+        monkeypatch.setattr(saak, "_CENTRED_BLOCK", 5 * 61 * 496)
+        got = [assess(ref, dist)[0] for ref, dist in pairs]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_one_blas_thread_leaves_scores_unchanged(self, tmp_path, pairs_256):
+        # The thread count is read when numpy loads, so the scores are taken
+        # in a fresh interpreter; float.hex carries them exactly.
+        pairs, want = pairs_256
+        np.save(tmp_path / "pairs.npy", np.array(pairs))
+        code = ("import sys, numpy as np; from saakiqa import assess; "
+                "print(' '.join(assess(r, d)[0].hex() "
+                "for r, d in np.load(sys.argv[1])))")
+        threads = {name: "1" for name in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "pairs.npy")],
+            cwd=Path(saak.__file__).resolve().parents[1],
+            env={**os.environ, **threads}, capture_output=True, text=True,
+            timeout=300)
+        assert run.returncode == 0, run.stderr
+        got = [float.fromhex(h) for h in run.stdout.split()]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

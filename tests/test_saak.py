@@ -433,6 +433,15 @@ class TestFullTransform:
         with pytest.raises(InvalidPairError):
             inverse(t, model)
 
+    def test_one_stage_model_needs_only_its_own_blocks(self, textured_image):
+        # 20x20 splits into 4x4 blocks but not into TILE x TILE tiles.
+        stage = train_model(textured_image(26, 64, 64))[0][0]
+        img = textured_image(27, 20, 20)
+        out = forward(img, (stage,))
+        assert out.shape == (5, 5, 16)
+        assert out.tobytes() == forward_stage(img[:, :, np.newaxis], stage).tobytes()
+        np.testing.assert_allclose(inverse(out, (stage,)), img, rtol=1e-9)
+
     def test_geometry_mismatch(self, textured_image):
         model = train_model(textured_image(25, 64, 64))[0]
         with pytest.raises(GeometryMismatchError):
