@@ -1,7 +1,31 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from saakiqa import gaussian_filter
+
+ROOT = Path(__file__).resolve().parents[1]
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_python(*argv, one_blas_thread=False):
+    """Run ``python *argv`` in a fresh interpreter at the checkout root.
+
+    The child imports from ``src`` and ``tests``. Its BLAS runs the
+    library's default thread count, or one thread when ``one_blas_thread``
+    is set; numpy reads the count when it loads, so only a fresh
+    interpreter can change it.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    if one_blas_thread:
+        env.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def make_textured_image(seed: int, height: int = 128, width: int = 128) -> np.ndarray:

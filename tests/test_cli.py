@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -9,7 +6,7 @@ import pytest
 import saakiqa
 from saakiqa import psnr, read_pgm, synth_distort, write_pgm
 from saakiqa.cli import cli_main
-from conftest import make_textured_image
+from conftest import make_textured_image, run_python
 
 
 @pytest.fixture
@@ -249,16 +246,10 @@ def test_version_and_help_exit_zero_on_stdout(flag, capsys):
 
 
 def test_module_entry_point():
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(saakiqa.__file__))}
-
-    def run(*argv):
-        return subprocess.run([sys.executable, "-m", "saakiqa.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
-
-    version = run("--version")
+    version = run_python("-m", "saakiqa.cli", "--version")
     assert (version.returncode, version.stdout, version.stderr) == (
         0, f"saakiqa {saakiqa.__version__}\n", "")
-    usage = run("score")
+    usage = run_python("-m", "saakiqa.cli", "score")
     assert usage.returncode == 1
     assert usage.stdout == ""
     assert usage.stderr.startswith("usage: saakiqa score")

@@ -1,11 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-from conftest import make_textured_image
+from conftest import make_textured_image, run_python
 
 from saakiqa import saak
 from saakiqa import (
@@ -371,13 +366,8 @@ class TestScoresAt256:
         code = ("import sys, numpy as np; from saakiqa import assess; "
                 "print(' '.join(assess(r, d)[0].hex() "
                 "for r, d in np.load(sys.argv[1])))")
-        threads = {name: "1" for name in (
-            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-        run = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "pairs.npy")],
-            cwd=Path(saak.__file__).resolve().parents[1],
-            env={**os.environ, **threads}, capture_output=True, text=True,
-            timeout=300)
+        run = run_python("-c", code, str(tmp_path / "pairs.npy"),
+                         one_blas_thread=True)
         assert run.returncode == 0, run.stderr
         got = [float.fromhex(h) for h in run.stdout.split()]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -2,7 +2,6 @@ import ast
 import importlib
 import importlib.util
 import inspect
-import subprocess
 import sys
 from pathlib import Path
 
@@ -10,10 +9,10 @@ import numpy as np
 import pytest
 
 import saakiqa
-from conftest import make_textured_image
+from conftest import ROOT, make_textured_image, run_python
 from saakiqa import synth_distort
 
-_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_PERFBENCH = ROOT / "perfbench"
 
 
 def test_all_matches_public_bindings():
@@ -32,13 +31,29 @@ def test_import_needs_only_numpy():
     # imports.
     code = ("import sys; before = set(sys.modules); import saakiqa; "
             "print('\\n'.join(sorted(set(sys.modules) - before)))")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=60,
-                         cwd=Path(saakiqa.__file__).resolve().parents[1])
+    run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
     top = {name.partition(".")[0] for name in run.stdout.split()}
     assert "saakiqa" in top
     assert top - sys.stdlib_module_names - {"numpy", "saakiqa"} == set()
+
+
+def test_fresh_interpreters_have_one_owner():
+    # conftest.run_python sets the import path and the BLAS thread count of
+    # every interpreter the tests start, so no other test module imports
+    # subprocess.
+    importers = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.partition(".")[0] == "subprocess" for m in modules):
+                importers.add(path.name)
+    assert importers == {"conftest.py"}
 
 
 def test_no_name_defined_twice_in_one_scope():
@@ -47,7 +62,7 @@ def test_no_name_defined_twice_in_one_scope():
     # body of the package and of the tests may bind a name by def or class
     # once.
     files = [*Path(saakiqa.__file__).resolve().parent.glob("*.py"),
-             *Path(__file__).resolve().parent.glob("*.py")]
+             *(ROOT / "tests").glob("*.py")]
     twice = []
     for path in sorted(files):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -96,7 +111,7 @@ def test_sampling_settings_are_constants():
 def test_readme_library_use_runs(tmp_path, monkeypatch):
     # The first python block of the README runs as written, on images and
     # a manifest with the file names it uses.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
     ref = make_textured_image(43, 64, 64)
     saakiqa.write_pgm(ref, tmp_path / "lighthouse.pgm")
@@ -115,8 +130,7 @@ def test_readme_library_use_runs(tmp_path, monkeypatch):
 def test_version_has_one_owner():
     # pyproject.toml reads the version from saakiqa._version at build time.
     pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
-    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    config = pyproject.read_configuration(path, expand=True)
+    config = pyproject.read_configuration(ROOT / "pyproject.toml", expand=True)
     assert config["project"]["dynamic"] == ["version"]
     assert config["project"]["version"] == saakiqa.__version__
 

@@ -1,15 +1,11 @@
 import dataclasses
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
-from conftest import make_textured_image
+from conftest import make_textured_image, run_python
 
 from saakiqa import saak
 from saakiqa.saak import extract_feature_windows
@@ -591,15 +587,11 @@ class TestTrainModel:
         # wherever its column sits, which may depend on the thread count.
         # The thread count is read when numpy loads, so the oracles run in
         # a fresh interpreter.
-        root = Path(__file__).resolve().parents[1]
         oracles = [f"tests/test_saak.py::TestTrainModel::{name}" for name in (
             "test_stage2_matches_window_matrix_oracle",
             "test_stage2_matches_window_matrix_oracle_across_blocks")]
-        run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             *oracles],
-            cwd=root, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-            capture_output=True, text=True, timeout=300)
+        run = run_python("-m", "pytest", "-q", "-p", "no:cacheprovider",
+                         *oracles, one_blas_thread=True)
         assert run.returncode == 0, run.stdout + run.stderr
         assert "4 passed" in run.stdout
 

@@ -1,15 +1,11 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_python
 
-import saakiqa
 from saakiqa import stats
 from saakiqa import (
     DegenerateVarianceError,
@@ -475,15 +471,9 @@ class TestLogisticFitOracle:
                 "for x, y in (_ridge_example(), _tied_sample(17, 3000)):\n"
                 "    f = logistic5_fit(x, y)\n"
                 "    print(f.beta.tobytes().hex(), f.sse.hex(), f.iterations, f.converged)\n")
-        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-        default = {k: v for k, v in os.environ.items() if k not in threads}
-        src = str(Path(saakiqa.__file__).resolve().parents[1])
-        tests = str(Path(__file__).resolve().parent)
         outputs = []
-        for env in (default, {**default, **dict.fromkeys(threads, "1")}):
-            env["PYTHONPATH"] = os.pathsep.join([src, tests])
-            run = subprocess.run([sys.executable, "-c", code], env=env,
-                                 capture_output=True, text=True, timeout=120)
+        for one_blas_thread in (False, True):
+            run = run_python("-c", code, one_blas_thread=one_blas_thread)
             assert run.returncode == 0, run.stderr
             outputs.append(run.stdout)
         assert len(outputs[0].splitlines()) == 2
