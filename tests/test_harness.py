@@ -28,9 +28,19 @@ from saakiqa import (
     write_pgm,
 )
 from saakiqa import harness, saak
-from conftest import make_textured_image, run_python
+from conftest import CPUS, make_textured_image, run_python
 
 QSTEPS = (2.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+# Workers a pooled run uses: two, or one on a one-CPU machine.
+POOL = min(2, CPUS)
+
+
+def _run_eval(records, workers, **kwargs):
+    """run_eval on up to ``workers`` worker processes. With 0 every row is
+    scored on the calling thread, the only place a monkeypatch reaches."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_worker_count", lambda groups: min(groups, workers))
+        return run_eval(records, **kwargs)
 
 
 def _write_manifest(tmp_path, rows, name="manifest.csv"):
@@ -403,7 +413,18 @@ class TestReferenceGrouping:
             ("rA.pgm", "rA_q8.pgm", 4.0, "jpeg"),
             ("rB.pgm", "rA_q8.pgm", 0.5, "jpeg"),
         ]
-        records = parse_manifest(_write_manifest(tmp_path, rows))
+        manifest = _write_manifest(tmp_path, rows)
+        records = parse_manifest(manifest)
+        # Workers run one BLAS thread, so the oracle for a pooled run does too.
+        code = ("import json, sys; from saakiqa import parse_manifest; "
+                "from test_harness import _per_row_oracle; "
+                "records = parse_manifest(sys.argv[1]); "
+                "print(json.dumps([_per_row_oracle(records, lam) for lam in (None, 0.4)]))")
+        run = run_python("-c", code, str(manifest), one_blas_thread=True)
+        assert run.returncode == 0, run.stderr
+        for lam_override, oracle in zip((None, 0.4), json.loads(run.stdout)):
+            pooled = _run_eval(records, POOL, lam_override=lam_override)
+            assert pooled.to_dict()["records"] == oracle
         calls, prepared = [], []
 
         def counting_prepare(ref, sigma):
@@ -417,7 +438,7 @@ class TestReferenceGrouping:
         monkeypatch.setattr(harness, "prepare_reference", counting_prepare)
         for lam_override in (None, 0.4):
             calls.clear()
-            report = run_eval(records, lam_override=lam_override)
+            report = _run_eval(records, 0, lam_override=lam_override)
             assert report.to_dict()["records"] == _per_row_oracle(records, lam_override)
             # rB, rA, flat and rC; rD's only row fails the PSNR shape check.
             assert len(calls) == 4
@@ -430,21 +451,23 @@ class TestReferenceGrouping:
 
 # A seeded 4-reference x 10-qstep manifest (64x64 textured references,
 # block-DCT distortions, codecs alternating by qstep) and its run_eval
-# scores and per-codec rank correlations, recorded before references were
-# prepared once per run. Beta and PLCC are not pinned: the logistic fit can
-# move between local minima when scores change in their last bits.
+# scores and per-codec rank correlations, recorded with one BLAS thread as
+# the workers run it; a 64x64 reference's stage-2 null-space kernels move
+# with the thread count (ROADMAP item 5). Beta and PLCC are not pinned: the
+# logistic fit can move between local minima when scores change in their
+# last bits.
 GOLDEN_QSTEPS = tuple(float(q) for q in np.geomspace(2.0, 128.0, 10))
 GOLDEN_SCORES = [
-    0.998688903631672, 0.9985064531008891, 0.9977295308482993, 0.9941488849509716,
-    0.9908366300863274, 0.9579544646484787, 0.9500702849234675, 0.7945563882734914,
-    0.8063269391212419, 0.3475429617103215, 0.9992657721797369, 0.9988377060132899,
-    0.9980729844158436, 0.9938198178462609, 0.9913274618441549, 0.9603042174831993,
-    0.9542227808195314, 0.8156342544243094, 0.823358944262401, 0.28084928165151635,
-    0.9995408176776917, 0.99884318991475, 0.9986481603259488, 0.9939986897015454,
-    0.9926361735851665, 0.9607985488344984, 0.967143772968512, 0.8051565379053968,
-    0.8257883939303137, 0.315540053328715, 0.999394070735631, 0.998824354277317,
-    0.9985539820854787, 0.993835333825084, 0.992321896529706, 0.9590348900911133,
-    0.9551496773167192, 0.7792270774704954, 0.8184745818501843, 0.3288749012270867,
+    0.9986888831976961, 0.9985064487833342, 0.9977295123642608, 0.9941488864235348,
+    0.9908366184067019, 0.9579544648431481, 0.9500702871469782, 0.7945565046658033,
+    0.8063269762555931, 0.347543075442107, 0.9992657702579384, 0.9988377057275788,
+    0.9980729832117934, 0.9938198170746225, 0.9913274614709219, 0.9603042143097099,
+    0.9542227818260693, 0.8156342765244207, 0.8233589384535334, 0.28084927760140044,
+    0.9995408171603051, 0.9988431899594993, 0.9986481599320529, 0.9939986898966118,
+    0.9926361740874905, 0.9607985435747346, 0.9671437752014131, 0.8051565492970745,
+    0.8257883953886258, 0.31554008086936813, 0.9993940736384227, 0.9988243556887056,
+    0.998553985795264, 0.993835338303019, 0.9923219048499929, 0.9590349074095944,
+    0.9551497000915434, 0.7792271215702525, 0.8184746147567035, 0.3288748986964871,
 ]
 GOLDEN_RANKS = {"jpeg": (0.9503759398496241, 0.8105263157894737),
                 "jpeg2000": (0.968421052631579, 0.8631578947368421)}
@@ -493,11 +516,11 @@ _ROW_ORDER_FIT = "ROADMAP item 3: the logistic fit depends on row order"
 
 @pytest.fixture(scope="module")
 def golden_reports(tmp_path_factory):
-    """run_eval of the golden manifest in input order and in reversed order."""
+    """Pooled run_eval of the golden manifest in input and reversed order."""
     manifest = _write_golden_batch(tmp_path_factory.mktemp("golden"),
                                    (201, 202, 203, 204), 64)
     records = parse_manifest(manifest)
-    return run_eval(records), run_eval(records[::-1])
+    return _run_eval(records, POOL), _run_eval(records[::-1], POOL)
 
 
 class TestGolden:
@@ -517,45 +540,57 @@ class TestGolden:
 @pytest.fixture(scope="module")
 def batch_256(tmp_path_factory):
     """The 256x256 batch (2 references x 10 steps, 10 rows per codec): its
-    manifest and its run_eval in input order and in reversed order."""
+    manifest, its pooled run_eval in input and in reversed order, and its
+    run_eval on the calling thread."""
     manifest = _write_golden_batch(tmp_path_factory.mktemp("batch256"), (301, 302), 256)
     records = parse_manifest(manifest)
-    return manifest, run_eval(records), run_eval(records[::-1])
+    return (manifest, _run_eval(records, POOL), _run_eval(records[::-1], POOL),
+            _run_eval(records, 0))
 
 
 class TestBatch256:
-    # What the report must not depend on: row order, the centring block
-    # and the BLAS thread count. At 256x256 every reference has full-rank
-    # covariances, so scores, SRCC and KRCC hold today. PLCC does not: the
-    # logistic fit moves with row order and with last-bit score changes.
+    # What the report must not depend on: row order, the centring block,
+    # the BLAS thread count and the worker count. At 256x256 every
+    # reference has full-rank covariances, so scores, SRCC and KRCC hold
+    # today. PLCC does not: the logistic fit moves with row order and with
+    # last-bit score changes.
     def test_row_order_leaves_scores_and_ranks_unchanged(self, batch_256):
-        _assert_row_order_keeps_scores_and_ranks(*batch_256[1:])
+        _assert_row_order_keeps_scores_and_ranks(*batch_256[1:3])
 
     @pytest.mark.xfail(strict=True, reason=_ROW_ORDER_FIT)
     def test_row_order_leaves_plcc_unchanged(self, batch_256):
-        _assert_same_plcc(*batch_256[1:])
+        _assert_same_plcc(*batch_256[1:3])
 
     def test_centring_blocks_leave_scores_and_ranks_unchanged(self, monkeypatch, batch_256):
         # Five of the 61 window rows per block: blocks of 5 rows and one of 1.
-        manifest, report, _ = batch_256
+        manifest, *_, report = batch_256
         monkeypatch.setattr(saak, "_CENTRED_BLOCK", 5 * 61 * 496)
-        blocked = run_eval(parse_manifest(manifest))
+        blocked = _run_eval(parse_manifest(manifest), 0)
         np.testing.assert_allclose(_scores(blocked), _scores(report), rtol=1e-12, atol=0)
         assert _ranks(blocked) == _ranks(report)
 
     @pytest.mark.xfail(strict=True,
                        reason="ROADMAP item 3: the logistic fit moves with last-bit score changes")
     def test_centring_blocks_leave_plcc_unchanged(self, monkeypatch, batch_256):
-        manifest, report, _ = batch_256
+        manifest, *_, report = batch_256
         monkeypatch.setattr(saak, "_CENTRED_BLOCK", 5 * 61 * 496)
-        _assert_same_plcc(report, run_eval(parse_manifest(manifest)))
+        _assert_same_plcc(report, _run_eval(parse_manifest(manifest), 0))
+
+    def test_worker_count_leaves_scores_and_ranks_unchanged(self, batch_256):
+        # Workers run one BLAS thread, the calling thread the default. No
+        # PLCC cell: where the default is one thread, it would pass.
+        _, pooled, _, report = batch_256
+        np.testing.assert_allclose(_scores(pooled), _scores(report), rtol=1e-12, atol=0)
+        assert _ranks(pooled) == _ranks(report)
 
     def test_one_blas_thread_leaves_scores_and_ranks_unchanged(self, batch_256):
         # The thread count is read when numpy loads, so the one-thread report
-        # is taken in a fresh interpreter; JSON carries its floats exactly.
-        # No PLCC cell: where the default is one thread, it would pass.
-        manifest, report, _ = batch_256
-        code = ("import json, sys; from saakiqa import parse_manifest, run_eval; "
+        # is taken in a fresh interpreter, on its calling thread; JSON
+        # carries its floats exactly. No PLCC cell: where the default is one
+        # thread, it would pass.
+        manifest, *_, report = batch_256
+        code = ("import json, sys; from saakiqa import harness, parse_manifest, run_eval; "
+                "harness._worker_count = lambda groups: 0; "
                 "r = run_eval(parse_manifest(sys.argv[1])); "
                 "print(json.dumps([[x.score for x in r.results], "
                 "{n: [c.srcc, c.krcc] for n, c in r.codecs.items()}]))")
