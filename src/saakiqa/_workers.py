@@ -23,6 +23,7 @@ import os
 import pickle
 import sys
 import threading
+import traceback
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _workers = []  # subprocess.Popen objects, in start order
@@ -124,9 +125,24 @@ def map(fn, tasks: list, n: int) -> list:
     return results
 
 
+def _encode(reply: tuple) -> bytes:
+    """``reply`` as a pickle. A result that cannot be pickled, or an
+    exception that cannot be pickled or rebuilt from its pickle, is sent
+    as a ``RuntimeError`` that names it, with the traceback."""
+    ok, value, trace = reply
+    try:
+        data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        if not ok:
+            pickle.loads(data)
+        return data
+    except Exception as exc:
+        if ok:
+            value, trace = exc, traceback.format_exc()
+        return pickle.dumps((False, RuntimeError(repr(value)), trace), pickle.HIGHEST_PROTOCOL)
+
+
 def main() -> None:
     import signal
-    import traceback
 
     # Ctrl-C reaches the whole process group; the caller handles it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -142,7 +158,7 @@ def main() -> None:
             reply = (True, fn(*args), None)
         except Exception as exc:
             reply = (False, exc, traceback.format_exc())
-        pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+        replies.write(_encode(reply))
         replies.flush()
 
 

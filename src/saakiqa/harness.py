@@ -6,11 +6,11 @@ A manifest is UTF-8 CSV (a leading byte-order mark is allowed) with header
 ``ref,dist,mos,codec``; image paths resolve relative to the manifest's
 directory. Each ``run_eval`` call groups the rows by reference, then reads
 and trains every reference once and scores all of its rows against it.
-With at least two groups and two usable CPUs, the groups go to persistent
-worker processes (``_workers``), one per CPU and at most one per group,
-each running one BLAS thread. Otherwise they are scored on the calling
-thread, one prepared reference alive at a time, and the BLAS library
-parallelises inside each record. Results keep the input order either way.
+The groups are scored on the calling thread, one prepared reference alive
+at a time, with the BLAS library parallelising inside each record; or, on
+a batch that a cost model says two persistent worker processes
+(``_workers``) finish sooner even counting their start, in those workers,
+each running one BLAS thread. Results keep the input order either way.
 Row failures are recorded without aborting the batch.
 """
 
@@ -199,14 +199,53 @@ def _score_reference_rows(records: list[EvalRecord], sigma: float,
     return results
 
 
-def _worker_count(groups: int) -> int:
-    """Worker processes for ``groups`` reference groups: one per usable
-    CPU, at most one per group; 0, meaning the calling thread, when that
-    is fewer than two or the platform cannot tell which CPUs are usable."""
-    if not hasattr(os, "sched_getaffinity"):
+# The cost model behind _worker_count, in units of one reference read and
+# trained on the calling thread. Measured on two vCPUs: a row costs 0.05
+# of a reference at 64x64 and 0.17 at 512x512; starting the workers takes
+# about 0.2 s, four references at 64x64 or 1.2 at 512x512; a worker, on
+# one BLAS thread beside a second worker, runs up to 1.6x slower than the
+# calling thread. The pool must win at both sizes, with its start charged
+# on every call, so the choice depends only on the batch and the CPUs.
+# Two workers is the most that was measured.
+_ROW_AND_START_COSTS = ((0.05, 4.0), (0.2, 1.2))  # 64x64, 512x512 (rounded up)
+_WORKER_SLOWDOWN = 1.6
+_MAX_WORKERS = 2
+
+
+def _worker_count(group_sizes: list[int]) -> int:
+    """Worker processes to score reference groups of ``group_sizes`` rows
+    on, largest group first: one per usable CPU, up to ``_MAX_WORKERS``
+    and one per group; or 0, the calling thread, when that is fewer than
+    two or the cost model says the calling thread finishes no later."""
+    workers = min(_MAX_WORKERS, len(group_sizes), _usable_cpus())
+    if workers < 2:
         return 0
-    workers = min(len(os.sched_getaffinity(0)), groups)
-    return workers if workers > 1 else 0
+    for row, start in _ROW_AND_START_COSTS:
+        work = [1 + row * n for n in group_sizes]
+        if _WORKER_SLOWDOWN * max(max(work), sum(work) / workers) + start >= sum(work):
+            return 0
+    return workers
+
+
+def _usable_cpus(cgroup: str = "/sys/fs/cgroup") -> int:
+    """CPUs this process may run on: its affinity mask, cut to the cgroup's
+    CPU quota rounded down; 1 where the platform cannot tell."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    try:  # cgroup v2
+        with open(os.path.join(cgroup, "cpu.max")) as fh:
+            quota, period = fh.read().split()
+    except OSError:
+        try:  # cgroup v1
+            with open(os.path.join(cgroup, "cpu", "cpu.cfs_quota_us")) as fq, \
+                    open(os.path.join(cgroup, "cpu", "cpu.cfs_period_us")) as fp:
+                quota, period = fq.read().strip(), fp.read().strip()
+        except OSError:
+            return cpus
+    if quota in ("max", "-1"):
+        return cpus
+    return min(cpus, max(1, int(quota) // int(period)))
 
 
 def _codec_stats(scored: list[RecordResult], n_total: int) -> CodecResult:
@@ -247,13 +286,19 @@ def run_eval(records: list[EvalRecord], *, sigma: float = SIGMA,
     reference, each reference read and trained once; output order follows
     the input order.
 
-    With two or more references and two or more usable CPUs, the groups
-    are scored in worker processes, one per CPU and at most one per
-    group, each with one BLAS thread; the scores equal those of the
-    calling thread under ``OPENBLAS_NUM_THREADS=1``. Workers start on the
-    first such call, in parallel and in about 0.2 s, and later calls in
-    the process reuse them. Patches of the package in the caller do not
-    reach them.
+    Groups are handed out largest first. On a batch where two worker
+    processes beat the calling thread by the cost model of
+    ``_worker_count`` (20 or more references of one row each, for
+    example), with at least two usable CPUs, the groups are scored in
+    those workers, each with one BLAS thread; the scores then equal those
+    of the calling thread under ``OPENBLAS_NUM_THREADS=1``. Other batches
+    are scored on the calling thread. Under more BLAS threads a row's
+    score can therefore differ in its last bits between a batch that is
+    pooled and one that is not: by up to 3.3e-7 relative for a 64x64
+    reference, whose stage-2 covariance is rank-deficient. Workers start
+    on the first pooled call, in parallel and in about 0.2 s, and later
+    calls in the process reuse them. Patches of the package in the caller
+    do not reach them.
     """
     if not records:
         raise NoValidRecordsError("manifest has no records")
@@ -263,15 +308,16 @@ def run_eval(records: list[EvalRecord], *, sigma: float = SIGMA,
     by_ref: dict[str, list[int]] = {}
     for i, record in enumerate(records):
         by_ref.setdefault(record.ref_path, []).append(i)
-    tasks = [([records[i] for i in rows], sigma, lam_override) for rows in by_ref.values()]
-    workers = _worker_count(len(tasks))
+    groups = sorted(by_ref.values(), key=len, reverse=True)
+    tasks = [([records[i] for i in rows], sigma, lam_override) for rows in groups]
+    workers = _worker_count([len(rows) for rows in groups])
     if workers:
         from . import _workers
         scored = _workers.map(_score_reference_rows, tasks, workers)
     else:
         scored = (_score_reference_rows(*task) for task in tasks)
     results: list[RecordResult] = [None] * len(records)
-    for rows, group in zip(by_ref.values(), scored):
+    for rows, group in zip(groups, scored):
         for i, result in zip(rows, group):
             results[i] = result
 

@@ -12,6 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # CPUs this process may run on; no test starts more worker processes.
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Whether this process's BLAS runs one thread, as a scoring worker's does.
+ONE_BLAS_THREAD = CPUS == 1 or any(os.environ.get(v) == "1" for v in _BLAS_THREAD_VARS)
 
 
 def run_python(*argv, one_blas_thread=False, timeout=300):

@@ -28,7 +28,7 @@ from saakiqa import (
     write_pgm,
 )
 from saakiqa import harness, saak
-from conftest import CPUS, make_textured_image, run_python
+from conftest import CPUS, ONE_BLAS_THREAD, make_textured_image, run_python
 
 QSTEPS = (2.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 # Workers a pooled run uses: two, or one on a one-CPU machine.
@@ -39,7 +39,7 @@ def _run_eval(records, workers, **kwargs):
     """run_eval on up to ``workers`` worker processes. With 0 every row is
     scored on the calling thread, the only place a monkeypatch reaches."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_worker_count", lambda groups: min(groups, workers))
+        mp.setattr(harness, "_worker_count", lambda sizes: min(len(sizes), workers))
         return run_eval(records, **kwargs)
 
 
@@ -536,6 +536,52 @@ class TestGolden:
     def test_row_order_leaves_plcc_unchanged(self, golden_reports):
         _assert_same_plcc(*golden_reports)
 
+    @pytest.mark.xfail(not ONE_BLAS_THREAD, strict=True,
+                       reason="ROADMAP item 5: a 64x64 reference's stage-2 null-space "
+                              "kernels move with the BLAS thread count")
+    def test_pooled_batch_leaves_a_references_scores_unchanged(self, golden_reports):
+        # A batch the cost model pools, such as one of 20 or more references,
+        # is scored in one-BLAS-thread workers; the same reference alone is
+        # scored on the calling thread.
+        pooled = golden_reports[0]
+        alone = run_eval([r.record for r in pooled.results[:10]])
+        np.testing.assert_allclose(_scores(alone), _scores(pooled)[:10], rtol=1e-12, atol=0)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("sizes, workers", [
+        ([1] * 40, 2),    # 40 references of one row: the pool wins
+        ([1] * 19, 0),    # the workers' start is not paid back yet
+        ([10] * 4, 0),
+        ([39, 1], 0),     # one worker would do nearly all the work
+        ([100, 100], 0),  # at 64x64, 200 rows do not pay the start back
+        ([1] * 39 + [40], 2),
+        ([1], 0),
+    ])
+    def test_pool_only_where_the_cost_model_says_it_wins(self, monkeypatch, sizes, workers):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+        assert harness._worker_count(sizes) == workers
+
+    def test_one_usable_cpu_scores_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        assert harness._worker_count([1] * 40) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs an affinity mask")
+    @pytest.mark.parametrize("files, quota", [
+        ({}, None),
+        ({"cpu.max": "max 100000\n"}, None),
+        ({"cpu.max": "150000 100000\n"}, 1),
+        ({"cpu.max": "50000 100000\n"}, 1),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+        ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+    ])
+    def test_usable_cpus_follow_affinity_and_cgroup_quota(self, tmp_path, files, quota):
+        (tmp_path / "cpu").mkdir()
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        affinity = len(os.sched_getaffinity(0))
+        assert harness._usable_cpus(str(tmp_path)) == min(affinity, quota or affinity)
+
 
 @pytest.fixture(scope="module")
 def batch_256(tmp_path_factory):
@@ -590,7 +636,7 @@ class TestBatch256:
         # thread, it would pass.
         manifest, *_, report = batch_256
         code = ("import json, sys; from saakiqa import harness, parse_manifest, run_eval; "
-                "harness._worker_count = lambda groups: 0; "
+                "harness._worker_count = lambda sizes: 0; "
                 "r = run_eval(parse_manifest(sys.argv[1])); "
                 "print(json.dumps([[x.score for x in r.results], "
                 "{n: [c.srcc, c.krcc] for n, c in r.codecs.items()}]))")

@@ -15,7 +15,7 @@ from conftest import CPUS, ROOT, make_textured_image, run_python
 from saakiqa import synth_distort, write_pgm
 
 # Each caller forces the pool: up to one worker per CPU, at least one.
-_POOLED = f"harness._worker_count = lambda groups: min(groups, {CPUS})\n"
+_POOLED = f"harness._worker_count = lambda sizes: min(len(sizes), {CPUS})\n"
 
 
 def _write_batch(tmp_path, refs=(0, 1)):
@@ -78,12 +78,12 @@ def test_workers_run_one_blas_thread_on_the_callers_source(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
 def test_killed_worker_makes_run_eval_raise(tmp_path):
-    # The first reference is a named pipe: its worker blocks reading it
-    # until the caller opens the pipe for writing and kills that worker.
+    # The largest group's reference is a named pipe: the first worker blocks
+    # reading it until the caller opens the pipe for writing and kills it.
     manifest = _write_batch(tmp_path, refs=(1, 2))
     os.mkfifo(tmp_path / "ref0.pgm")
     manifest.write_text(manifest.read_text().replace(
-        "codec\n", "codec\nref0.pgm,d1_8.pgm,1.0,jpeg\n", 1))
+        "codec\n", "codec\n" + "ref0.pgm,d1_8.pgm,1.0,jpeg\n" * 3, 1))
     body = (
         "import signal, threading\n"
         "from saakiqa import _workers, harness, parse_manifest, run_eval\n"
@@ -97,11 +97,11 @@ def test_killed_worker_makes_run_eval_raise(tmp_path):
         "    run_eval(records)\n"
         "except RuntimeError as exc:\n"
         "    print(exc)\n"
-        "print([r.ok for r in run_eval(records[1:]).results])\n"
+        "print([r.ok for r in run_eval(records[3:]).results])\n"
         "idle = _workers._workers[0]\n"
         "os.kill(idle.pid, signal.SIGKILL)\n"
         "idle.wait()\n"
-        "print([r.ok for r in run_eval(records[1:]).results])\n")
+        "print([r.ok for r in run_eval(records[3:]).results])\n")
     out = _run(tmp_path, body, manifest, tmp_path / "ref0.pgm").splitlines()
     assert out[0].startswith("scoring worker process ")
     assert out[0].endswith(" exited with code -9 mid-batch")
@@ -122,7 +122,7 @@ def test_worker_errors_match_the_calling_thread(tmp_path):
         "# No path at all is a bug in the caller, not a row error.\n"
         "bad = [EvalRecord(None, 'd.pgm', 1.0, 'jpeg'), EvalRecord('r.pgm', 'd.pgm', 1.0, 'jpeg')]\n"
         "out = {}\n"
-        "for name, count in (('pooled', harness._worker_count), ('inline', lambda groups: 0)):\n"
+        "for name, count in (('pooled', harness._worker_count), ('inline', lambda sizes: 0)):\n"
         "    harness._worker_count = count\n"
         "    report = run_eval(records)\n"
         "    try:\n"
@@ -142,6 +142,27 @@ def test_worker_errors_match_the_calling_thread(tmp_path):
     assert raised[0].startswith("expected str, bytes or os.PathLike object")
     # The worker's traceback rides along as the cause.
     assert raised[1].startswith("in a scoring worker:\nTraceback")
+
+
+def test_unpicklable_worker_error_reaches_the_caller(tmp_path):
+    # An exception of a class the caller cannot import, and one that pickles
+    # but cannot be rebuilt from its arguments, arrive as a RuntimeError
+    # naming them, with the worker's traceback as the cause.
+    body = (
+        "from saakiqa import _workers\n"
+        "codes = ['class Local(Exception): pass\\nraise Local(\"boom\")',\n"
+        "         'from xml.sax import SAXParseException, xmlreader\\n'\n"
+        "         'raise SAXParseException(\"boom\", None, xmlreader.Locator())']\n"
+        "for code in codes:\n"
+        "    try:\n"
+        "        _workers.map(exec, [(code, {})], 1)\n"
+        "    except RuntimeError as exc:\n"
+        "        print(exc, '|', str(exc.__cause__).splitlines()[-1])\n"
+        "print(_workers.map(eval, [('1 + 1', {})], 1))\n")
+    assert _run(tmp_path, body).splitlines() == [
+        "Local('boom') | Local: boom",
+        "SAXParseException('boom') | xml.sax._exceptions.SAXParseException: <unknown>:-1:-1: boom",
+        "[2]"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
