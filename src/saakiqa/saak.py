@@ -47,7 +47,7 @@ TRAIN_STRIDE = 2
 STD_THRESHOLD = 2.0
 TILE = BLOCK_SIZE ** NUM_STAGES
 
-# Float64 values in the one buffer train_stage centres its samples into
+# Float64 values in the one buffer _centred_gram centres its samples into
 # (16 MiB): the smallest power of two that holds a 272x272 reference's
 # stage-2 windows, so references up to that size are centred in one block.
 _CENTRED_BLOCK = 1 << 21
@@ -155,6 +155,61 @@ def _fix_signs(kernels: np.ndarray) -> np.ndarray:
     return kernels
 
 
+def _centred_gram(windows: np.ndarray) -> np.ndarray:
+    """Population covariance, channel-major ``(d, d)``, of ``(rows, cols,
+    c, 4, 4)`` windows about their mean; ``ValueError`` if not finite.
+
+    Centring first keeps bright low-contrast content exact, where ``x.T @
+    x / n - mu mu^T`` cancels digits (scores move by ~1e-11, not ~1e-15).
+    Blocks of whole window rows are centred into one reused C-ordered
+    buffer of at most ``_CENTRED_BLOCK`` float64 (16 MiB, or one window
+    row if larger), whose reshape is a view, and their Grams are summed:
+    memory beyond the d x d matrices does not grow with n. Up to 2**21
+    values (a 272x272 reference's stage-2 windows) are one block, the same
+    bits as an unbounded buffer. The buffer holds windows position-major
+    (block row, block column, channel), so a window's block row is copied
+    as one run of ``4 * c`` values (124 for stage 2); permuting the summed
+    Gram back to channel-major order leaves every entry the same sum of
+    the same products, so the same bits.
+    """
+    # A NaN or inf sample, or a finite column whose sum overflows, makes its
+    # mean non-finite, so the check costs nothing beyond the mean itself.
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = windows.mean(axis=(0, 1))
+    if not np.isfinite(mean).all():
+        raise ValueError("samples contain non-finite values")
+    rows, d = windows.shape[0], mean.size
+    step = max(1, min(rows, _CENTRED_BLOCK // (windows.size // rows)))
+    x, mean = windows.transpose(0, 1, 3, 4, 2), mean.transpose(1, 2, 0)
+    buf = np.empty((step,) + x.shape[1:])
+    for start in range(0, rows, step):
+        block = buf[:min(step, rows - start)]
+        np.subtract(x[start:start + step], mean, out=block)
+        xc = block.reshape(-1, d)
+        if start:
+            gram += xc.T @ xc
+        else:  # a zeroed Gram would raise the peak when one block holds all windows
+            gram = xc.T @ xc
+    del buf, block, xc
+    order = np.arange(d).reshape(x.shape[2:]).transpose(2, 0, 1).ravel()
+    gram = gram[np.ix_(order, order)]
+    gram /= rows * x.shape[1]
+    return gram
+
+
+def _kernels(cov: np.ndarray) -> SaakStage:
+    """The stage of input-space covariance ``cov``, diagonalized as ``B.T @
+    cov @ B`` with ``B`` the DC-complement basis: the covariance of the
+    projected samples in d³ work, not the n·d² of projecting every sample."""
+    d = cov.shape[0]
+    basis = _dc_complement_basis(d)
+    evals, evecs = np.linalg.eigh(basis.T @ cov @ basis)
+    order = np.argsort(-evals, kind="stable")
+    ac = _fix_signs((basis @ evecs[:, order]).T)
+    kernels = np.vstack([np.full(d, 1.0 / np.sqrt(d)), ac])
+    return SaakStage(kernels=kernels, eigenvalues=np.maximum(evals[order], 0.0))
+
+
 def train_stage(samples, *, input_channels: int = 1) -> SaakStage:
     """Learn one stage's orthonormal kernel set from vectorized samples.
 
@@ -164,29 +219,15 @@ def train_stage(samples, *, input_channels: int = 1) -> SaakStage:
     a feature grid, which counts as ``n = rows * cols`` samples in the
     package's vectorization order. Rows are read as ``(n, 1,
     input_channels, 4, 4)`` windows, so both take one path and give the
-    same kernels bit for bit while the samples fit one centring block
-    (below), and agree to round-off beyond it.
+    same kernels bit for bit while the samples fit one centring block, and
+    agree to round-off beyond it.
 
     The DC kernel is the normalized constant vector. AC kernels are the
     eigenvectors of the population covariance (about the ensemble mean) of
-    the DC-removed residuals, restricted to the DC-orthogonal subspace, in
-    descending eigenvalue order with a deterministic sign rule. The returned
-    basis is always complete, even for rank-deficient covariance.
-
-    That covariance is computed as ``B.T @ C @ B``, with ``C`` the centred
-    input-space covariance and ``B`` the DC-complement basis: d³ work
-    rather than the n·d² of projecting every sample, and no n x (d-1) copy.
-    ``C`` is summed from the Grams of centred blocks of whole window rows,
-    each centred into one reused buffer of at most ``_CENTRED_BLOCK``
-    float64 (16 MiB; one window row if a single row is larger), so memory
-    beyond the d x d matrices does not grow with n. Up to 2**21 values (a
-    272x272 reference's stage-2 windows) are one block: one centring and
-    one Gram product, the same bits as an unbounded buffer. The buffer
-    holds windows position-major (block row, block column, channel), so
-    each window's block row is copied as one run of ``4 * input_channels``
-    values (124 for stage 2), and the summed Gram is permuted back to the
-    channel-major order before anything else reads it, which leaves every
-    entry the same bits.
+    the DC-removed residuals (:func:`_centred_gram`), restricted to the
+    DC-orthogonal subspace, in descending eigenvalue order with a
+    deterministic sign rule (:func:`_kernels`). The returned basis is
+    always complete, even for rank-deficient covariance.
     Raises :class:`DimensionMismatchError` for a channel count below 1 or
     samples of neither shape and ``ValueError`` for NaN or infinite
     samples.
@@ -208,49 +249,7 @@ def train_stage(samples, *, input_channels: int = 1) -> SaakStage:
     n = x.shape[0] * x.shape[1]
     if n < 2:
         raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
-
-    # Any NaN or inf sample makes its column mean non-finite, so checking the
-    # d means costs nothing beyond the mean itself (a finite column whose
-    # sum overflows is rejected too; its covariance would not be finite).
-    with np.errstate(invalid="ignore", over="ignore"):
-        mean = x.mean(axis=(0, 1))
-    if not np.isfinite(mean).all():
-        raise ValueError("samples contain non-finite values")
-
-    # The covariance of the projected samples x @ basis equals the input
-    # covariance rotated into the DC-orthogonal basis, so rotate the d x d
-    # matrix instead of projecting all n samples. Centring before the Gram
-    # product keeps bright low-contrast content exact; x.T @ x / n - mu mu^T
-    # cancels digits there (scores move by ~1e-11 instead of ~1e-15).
-    # Each block of window rows is centred into the same C-ordered buffer,
-    # whose reshape is then a view (``x - mean`` on a strided window view
-    # would allocate in its stride order), and the block Grams are summed.
-    # Position-major windows copy in runs of block * channels grid values
-    # instead of block values; permuting the Gram back leaves every entry
-    # the same sum of the same products, so the same bits.
-    rows = x.shape[0]
-    step = max(1, min(rows, _CENTRED_BLOCK // (x.size // rows)))
-    x, mean = x.transpose(0, 1, 3, 4, 2), mean.transpose(1, 2, 0)
-    buf = np.empty((step,) + x.shape[1:])
-    for start in range(0, rows, step):
-        block = buf[:min(step, rows - start)]
-        np.subtract(x[start:start + step], mean, out=block)
-        xc = block.reshape(-1, d)
-        if start:
-            gram += xc.T @ xc
-        else:  # a zeroed Gram would raise the peak when one block holds all windows
-            gram = xc.T @ xc
-    del buf, block, xc
-    order = np.arange(d).reshape(x.shape[2:]).transpose(2, 0, 1).ravel()
-    gram = gram[np.ix_(order, order)]
-    gram /= n
-    basis = _dc_complement_basis(d)
-    cov = basis.T @ gram @ basis
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(-evals, kind="stable")
-    ac = _fix_signs((basis @ evecs[:, order]).T)
-    kernels = np.vstack([np.full(d, 1.0 / np.sqrt(d)), ac])
-    return SaakStage(kernels=kernels, eigenvalues=np.maximum(evals[order], 0.0))
+    return _kernels(_centred_gram(x))
 
 
 def sp_convert(features) -> np.ndarray:

@@ -371,3 +371,31 @@ class TestScoresAt256:
         assert run.returncode == 0, run.stderr
         got = [float.fromhex(h) for h in run.stdout.split()]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _square_symmetries(image):
+    """The image under each of the 8 symmetries of the square, identity first."""
+    for k in range(4):
+        yield np.rot90(image, k)
+        yield np.rot90(image, k).T
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("size", [128, 256])
+    def test_symmetries_of_the_square_leave_scores_unchanged(self, size):
+        # Rotating, flipping or transposing a reference and its distorted
+        # image alike only relabels pixels, so scores may move by round-off
+        # alone (measured under 1 and 2 BLAS threads: at most 2.1e-14 at
+        # 128x128, 4.3e-15 at 256x256). Sides are multiples of 16, so
+        # crop_to_multiple crops nothing. 64x64, whose stage-2 covariance
+        # has a null space, moves by up to 4.6e-7 and waits on deterministic
+        # null-space kernels (ROADMAP item 5).
+        for seed in (310, 311, 312):
+            ref = make_textured_image(seed, size, size)
+            dists = [synth_distort(ref, q) for q in SCORE_GUARD_QSTEPS]
+            scores = []
+            for images in zip(*map(_square_symmetries, [ref, *dists])):
+                prepared = prepare_reference(images[0])
+                scores.append([assess(prepared, d)[0] for d in images[1:]])
+            np.testing.assert_allclose(scores, np.tile(scores[0], (8, 1)),
+                                       rtol=1e-12, atol=0)

@@ -97,6 +97,33 @@ def test_sigma_has_one_owner():
                            "gaussian_filter"}
 
 
+def _package_readers(name):
+    """``module.function`` of every place in the package that reads
+    ``name``, as a bare name or as an attribute."""
+    readers = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        read = isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        if read and name in (getattr(node, "id", None), getattr(node, "attr", None)):
+            readers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in Path(saakiqa.__file__).resolve().parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return readers
+
+
+def test_covariance_and_kernels_have_one_owner_each():
+    # train_stage composes two halves: the centring block is read only
+    # where the covariance is summed, and eigh is called only where the
+    # covariance becomes kernels, so a change to one half edits one function.
+    assert _package_readers("_CENTRED_BLOCK") == {"saak._centred_gram"}
+    assert _package_readers("eigh") == {"saak._kernels"}
+
+
 def test_sampling_settings_are_constants():
     # The paper fixes Saak's sampling: the texture threshold and the
     # stage-2 window geometry are constants, not arguments. Stage 1 keeps
