@@ -149,19 +149,6 @@ def crop_to_multiple(img, m: int) -> np.ndarray:
     return img[:h2, :w2]
 
 
-def _filter_axis(img: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (taps.size // 2,) * 2
-    padded = np.pad(img, pad, mode="symmetric")
-    out = np.zeros_like(img)
-    n = img.shape[axis]
-    for i, w in enumerate(taps):
-        sl = [slice(None), slice(None)]
-        sl[axis] = slice(i, i + n)
-        out += w * padded[tuple(sl)]
-    return out
-
-
 def filter_radius(sigma: float) -> int:
     """Half-width of the Gaussian window: ``ceil(3 * sigma)``.
 
@@ -191,5 +178,15 @@ def gaussian_filter(img, sigma: float) -> np.ndarray:
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     taps = np.exp(-(x * x) / (2.0 * sigma * sigma))
     taps /= taps.sum()
-    out = _filter_axis(img, taps, axis=0)
-    return _filter_axis(out, taps, axis=1)
+    # The pass down the rows treats each column alone, so running it on the
+    # padded columns equals padding its output: one pad serves both passes.
+    padded = np.pad(img, radius, mode="symmetric")
+    h, w = img.shape
+    rows = np.zeros((h, padded.shape[1]))
+    for i, t in enumerate(taps):
+        rows += t * padded[i:i + h]
+    del padded
+    out = np.zeros_like(img)
+    for i, t in enumerate(taps):
+        out += t * rows[:, i:i + w]
+    return out

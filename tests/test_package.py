@@ -97,23 +97,31 @@ def test_sigma_has_one_owner():
                            "gaussian_filter"}
 
 
-def _package_readers(name):
-    """``module.function`` of every place in the package that reads
-    ``name``, as a bare name or as an attribute."""
-    readers = set()
+def _package_owners(match):
+    """``module.function`` of each node in the package that ``match``
+    accepts, once per node."""
+    owners = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             owner = f"{owner}.{node.name}"
-        read = isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-        if read and name in (getattr(node, "id", None), getattr(node, "attr", None)):
-            readers.add(owner)
+        if match(node):
+            owners.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     for path in Path(saakiqa.__file__).resolve().parent.glob("*.py"):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    return readers
+    return owners
+
+
+def _package_readers(name):
+    """``module.function`` of every place in the package that reads
+    ``name``, as a bare name or as an attribute."""
+    return set(_package_owners(
+        lambda node: isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+        and name in (getattr(node, "id", None), getattr(node, "attr", None))))
 
 
 def test_covariance_and_kernels_have_one_owner_each():
@@ -122,6 +130,16 @@ def test_covariance_and_kernels_have_one_owner_each():
     # covariance becomes kernels, so a change to one half edits one function.
     assert _package_readers("_CENTRED_BLOCK") == {"saak._centred_gram"}
     assert _package_readers("eigh") == {"saak._kernels"}
+
+
+def test_filter_pads_once():
+    # The Gaussian pre-filter mirrors the border once, in both axes, and
+    # both tap passes read that one padded copy.
+    def np_pad_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "pad" and getattr(node.func.value, "id", None) == "np")
+
+    assert _package_owners(np_pad_call) == ["image.gaussian_filter"]
 
 
 def test_sampling_settings_are_constants():
@@ -247,3 +265,23 @@ def test_untraced_benchmark_units_match_golden(monkeypatch, tmp_path):
         assert len(out["scores"]) == len(scores), name
         for got, w in zip(out["scores"], scores):
             assert abs(got - w) <= golden.SCORE_RTOL * abs(w), name
+
+
+def test_pooled_benchmark_unit_matches_golden(monkeypatch, tmp_path):
+    # eval-unique gives every row its own reference, so run_eval scores it
+    # in worker processes wherever two CPUs are usable; golden unit 0 here
+    # checks that path's scores and ranks as the benchmark's gate does.
+    # The fit SSE is not pinned, as above.
+    _, workloads, golden = [_load_perfbench(monkeypatch, name)
+                            for name in ("inputs", "workloads", "golden")]
+    want = golden.load()["eval-unique"][0]
+    wl = workloads.make("eval-unique", golden.GOLDEN_SEED, str(tmp_path))
+    unit = wl.unit(0)
+    out = wl.outputs(unit, wl.run(unit))
+    assert workloads.check(out) == []
+    assert len(out["scores"]) == len(want["scores"])
+    for got, w in zip(out["scores"], want["scores"]):
+        assert abs(got - w) <= golden.SCORE_RTOL * abs(w)
+    for codec, w in want["stats"].items():
+        assert (out["stats"][codec]["srcc"], out["stats"][codec]["krcc"]) == (
+            w["srcc"], w["krcc"]), codec
