@@ -8,6 +8,8 @@ harness reproduces the usual benchmark protocol (logistic regression plus
 PLCC/SRCC/KRCC per codec).
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .errors import (
     DegenerateInputError,
@@ -75,59 +77,7 @@ from .stats import (
     spearman,
 )
 
-__all__ = [
-    "__version__",
-    "CODEC_LAMBDAS",
-    "QualityConfig",
-    "ChannelStats",
-    "Reference",
-    "SaakStage",
-    "LogisticFit",
-    "EvalRecord",
-    "EvalReport",
-    "RecordResult",
-    "CodecResult",
-    "read_pgm",
-    "write_pgm",
-    "crop_to_multiple",
-    "gaussian_filter",
-    "extract_training_patches",
-    "train_stage",
-    "train_model",
-    "sp_convert",
-    "ps_convert",
-    "forward_stage",
-    "inverse_stage",
-    "forward",
-    "inverse",
-    "channel_stats",
-    "quality_from_stats",
-    "prepare_reference",
-    "assess",
-    "pearson",
-    "spearman",
-    "kendall_tau_b",
-    "rankdata",
-    "psnr",
-    "logistic5_eval",
-    "logistic5_fit",
-    "parse_manifest",
-    "run_eval",
-    "synth_distort",
-    "emit_report",
-    "SaakIqaError",
-    "MalformedHeaderError",
-    "UnsupportedMaxvalError",
-    "TruncatedDataError",
-    "ImageTooSmallError",
-    "DimensionMismatchError",
-    "GeometryMismatchError",
-    "NoTrainingSamplesError",
-    "InsufficientSamplesError",
-    "InvalidPairError",
-    "DegenerateInputError",
-    "LengthMismatchError",
-    "DegenerateVarianceError",
-    "MalformedRowError",
-    "NoValidRecordsError",
-]
+# The imports above declare the API: every public name they bind, apart
+# from the submodules, is exported.
+__all__ = ["__version__", *(name for name, value in globals().items()
+                            if not name.startswith("_") and not isinstance(value, _ModuleType))]

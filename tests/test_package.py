@@ -142,6 +142,24 @@ def test_filter_pads_once():
     assert _package_owners(np_pad_call) == ["image.gaussian_filter"]
 
 
+def test_api_is_declared_once():
+    # __init__.py's import block is the one list of the public names;
+    # __all__ is derived from it, so no literal list spells them again.
+    def spelled_all(node):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            return False
+        return (any(getattr(t, "id", None) == "__all__" for t in targets)
+                and isinstance(node.value, (ast.List, ast.Tuple))
+                and sum(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                        for e in node.value.elts) > 1)
+
+    assert _package_owners(spelled_all) == []
+
+
 def test_sampling_settings_are_constants():
     # The paper fixes Saak's sampling: the texture threshold and the
     # stage-2 window geometry are constants, not arguments. Stage 1 keeps
