@@ -227,25 +227,51 @@ def _worker_count(group_sizes: list[int]) -> int:
     return workers
 
 
-def _usable_cpus(cgroup: str = "/sys/fs/cgroup") -> int:
-    """CPUs this process may run on: its affinity mask, cut to the cgroup's
-    CPU quota rounded down; 1 where the platform cannot tell."""
+def _usable_cpus(cgroup: str = "/sys/fs/cgroup", membership: str = "/proc/self/cgroup") -> int:
+    """CPUs this process may run on: its affinity mask, cut to the smallest
+    CPU quota, rounded down, of any cgroup on the process's own path from
+    its leaf up to the mount root; 1 where the platform cannot tell.
+    Without a ``membership`` file only the root quota is read."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
     cpus = len(os.sched_getaffinity(0))
+    v2 = v1 = "/"  # this process's cgroup v2 and v1 cpu paths
+    try:
+        with open(membership) as fh:
+            for line in fh:
+                _, controllers, path = line.rstrip("\n").split(":", 2)
+                if not controllers:
+                    v2 = path
+                elif "cpu" in controllers.split(","):
+                    v1 = path
+    except OSError:
+        pass
+    for root, path in ((cgroup, v2), (os.path.join(cgroup, "cpu"), v1)):
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts) + 1):
+            quota = _cgroup_quota(os.path.join(root, *parts[:depth]))
+            if quota is not None:
+                cpus = min(cpus, quota)
+    return cpus
+
+
+def _cgroup_quota(level: str) -> int | None:
+    """The CPU quota of the cgroup directory ``level`` in whole CPUs,
+    rounded down and at least 1; None where it holds no quota files or
+    sets no quota."""
     try:  # cgroup v2
-        with open(os.path.join(cgroup, "cpu.max")) as fh:
+        with open(os.path.join(level, "cpu.max")) as fh:
             quota, period = fh.read().split()
     except OSError:
         try:  # cgroup v1
-            with open(os.path.join(cgroup, "cpu", "cpu.cfs_quota_us")) as fq, \
-                    open(os.path.join(cgroup, "cpu", "cpu.cfs_period_us")) as fp:
+            with open(os.path.join(level, "cpu.cfs_quota_us")) as fq, \
+                    open(os.path.join(level, "cpu.cfs_period_us")) as fp:
                 quota, period = fq.read().strip(), fp.read().strip()
         except OSError:
-            return cpus
+            return None
     if quota in ("max", "-1"):
-        return cpus
-    return min(cpus, max(1, int(quota) // int(period)))
+        return None
+    return max(1, int(quota) // int(period))
 
 
 def _codec_stats(scored: list[RecordResult], n_total: int) -> CodecResult:

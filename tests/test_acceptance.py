@@ -35,7 +35,7 @@ from saakiqa import (
     write_pgm,
 )
 from saakiqa.cli import cli_main
-from conftest import make_textured_image
+from conftest import kendall_oracle, make_textured_image, pearson_oracle, rank_oracle
 
 
 @contextmanager
@@ -124,37 +124,6 @@ def test_criterion_6_distortion_monotonicity():
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
 
-def _rank_bruteforce(v):
-    v = np.asarray(v, dtype=float)
-    out = np.empty(v.size)
-    for i, value in enumerate(v):
-        less = np.sum(v < value)
-        equal = np.sum(v == value)
-        out[i] = less + (equal + 1) / 2.0
-    return out
-
-
-def _pearson_bruteforce(x, y):
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    dx, dy = x - x.mean(), y - y.mean()
-    return float(np.sum(dx * dy) / np.sqrt(np.sum(dx * dx) * np.sum(dy * dy)))
-
-
-def _kendall_bruteforce(x, y):
-    n = len(x)
-    s = ties_x = ties_y = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = np.sign(x[i] - x[j])
-            dy = np.sign(y[i] - y[j])
-            s += dx * dy
-            ties_x += dx == 0
-            ties_y += dy == 0
-    n0 = n * (n - 1) / 2.0
-    return s / np.sqrt((n0 - ties_x) * (n0 - ties_y))
-
-
 def test_criterion_7_rank_statistic_oracles():
     with criterion(7, "spearman/kendall match O(n^2) brute force on 1000 vectors"):
         rng = np.random.default_rng(1007)
@@ -171,11 +140,10 @@ def test_criterion_7_rank_statistic_oracles():
                 continue
             checked += 1
             srcc = spearman(x, y)
-            srcc_oracle = _pearson_bruteforce(_rank_bruteforce(x),
-                                              _rank_bruteforce(y))
+            srcc_oracle = pearson_oracle(rank_oracle(x), rank_oracle(y))
             assert abs(srcc - srcc_oracle) <= 1e-12
             krcc = kendall_tau_b(x, y)
-            assert abs(krcc - _kendall_bruteforce(x, y)) <= 1e-12
+            assert abs(krcc - kendall_oracle(x, y)) <= 1e-12
 
 
 def test_criterion_8_regression_recovery():

@@ -582,6 +582,31 @@ class TestWorkerCount:
         affinity = len(os.sched_getaffinity(0))
         assert harness._usable_cpus(str(tmp_path)) == min(affinity, quota or affinity)
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs an affinity mask")
+    @pytest.mark.parametrize("membership, files, quota", [
+        ("0::/a/b\n", {"a/b/cpu.max": "100000 100000\n"}, 1),
+        ("0::/a/b\n", {"cpu.max": "max 100000\n", "a/cpu.max": "100000 100000\n",
+                       "a/b/cpu.max": "300000 100000\n"}, 1),
+        ("4:cpu,cpuacct:/docker/x\n0::/\n",
+         {"cpu/docker/x/cpu.cfs_quota_us": "100000\n",
+          "cpu/docker/x/cpu.cfs_period_us": "100000\n"}, 1),
+        ("2:cpuacct:/\n4:cpu,cpuacct:/docker/x/y\n",
+         {"cpu/cpu.cfs_quota_us": "100000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+        (None, {"cpu.max": "200000 100000\n", "a/cpu.max": "100000 100000\n"}, 2),
+    ], ids=["v2-leaf", "v2-ancestor-tighter-than-leaf", "v1-nested-cpu-cpuacct",
+            "v1-deep-path-root-files-only", "no-membership-file-root-only"])
+    def test_usable_cpus_take_the_smallest_quota_on_the_own_cgroup_path(
+            self, tmp_path, membership, files, quota):
+        root = tmp_path / "cgroup"
+        for name, text in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+        if membership is not None:
+            (tmp_path / "membership").write_text(membership)
+        affinity = len(os.sched_getaffinity(0))
+        got = harness._usable_cpus(str(root), str(tmp_path / "membership"))
+        assert got == min(affinity, quota)
+
 
 @pytest.fixture(scope="module")
 def batch_256(tmp_path_factory):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from conftest import make_textured_image, run_python
+from conftest import make_textured_image
 
-from saakiqa import saak
 from saakiqa import (
     CODEC_LAMBDAS,
     ChannelStats,
@@ -218,13 +217,6 @@ class TestQualityFromStats:
 
 
 class TestAssess:
-    def test_identity_scores_one(self, textured_image):
-        img = textured_image(30, 64, 64)
-        for lam in (0.7, 0.2):
-            score, stats = assess(img, img, QualityConfig(lam=lam))
-            assert abs(score - 1.0) <= 1e-9
-            assert abs(stats.weight.sum() - 1.0) <= 1e-12
-
     def test_dimension_mismatch(self, textured_image):
         with pytest.raises(DimensionMismatchError):
             assess(np.zeros((64, 64)), np.zeros((64, 48)))
@@ -334,43 +326,8 @@ class TestPreparedReferenceEnergy:
         assert e[0] > np.median(e[1:])
 
 
-# 256x256 references hold 61 x 61 stage-2 windows, which default training
-# centres in one block; their scores must not depend on the centring block
-# bound or on the BLAS thread count.
+# Quantiser steps of the distorted images that TestSymmetry scores.
 SCORE_GUARD_QSTEPS = (8.0, 32.0, 128.0)
-
-
-@pytest.fixture(scope="module")
-def pairs_256():
-    """Reference/distorted pairs at 256x256 and their default-setting scores."""
-    pairs = []
-    for seed in (301, 302):
-        ref = make_textured_image(seed, 256, 256)
-        pairs += [(ref, synth_distort(ref, q)) for q in SCORE_GUARD_QSTEPS]
-    return pairs, np.array([assess(ref, dist)[0] for ref, dist in pairs])
-
-
-class TestScoresAt256:
-    def test_centring_blocks_leave_scores_unchanged(self, monkeypatch, pairs_256):
-        # Five of the 61 window rows per block: blocks of 5 rows and one of 1.
-        pairs, want = pairs_256
-        monkeypatch.setattr(saak, "_CENTRED_BLOCK", 5 * 61 * 496)
-        got = [assess(ref, dist)[0] for ref, dist in pairs]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-
-    def test_one_blas_thread_leaves_scores_unchanged(self, tmp_path, pairs_256):
-        # The thread count is read when numpy loads, so the scores are taken
-        # in a fresh interpreter; float.hex carries them exactly.
-        pairs, want = pairs_256
-        np.save(tmp_path / "pairs.npy", np.array(pairs))
-        code = ("import sys, numpy as np; from saakiqa import assess; "
-                "print(' '.join(assess(r, d)[0].hex() "
-                "for r, d in np.load(sys.argv[1])))")
-        run = run_python("-c", code, str(tmp_path / "pairs.npy"),
-                         one_blas_thread=True)
-        assert run.returncode == 0, run.stderr
-        got = [float.fromhex(h) for h in run.stdout.split()]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def _square_symmetries(image):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import run_python
+from conftest import kendall_oracle, pearson_oracle, rank_oracle, run_python
 
 from saakiqa import stats
 from saakiqa import (
@@ -19,44 +19,6 @@ from saakiqa import (
     rankdata,
     spearman,
 )
-
-
-def _rank_oracle(v):
-    """Average ranks by brute force: mean 1-based position among equals."""
-    v = np.asarray(v, dtype=float)
-    out = np.empty(v.size)
-    srt = np.sort(v)
-    for i, value in enumerate(v):
-        positions = np.nonzero(srt == value)[0] + 1
-        out[i] = positions.mean()
-    return out
-
-
-def _pearson_oracle(x, y):
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    dx, dy = x - x.mean(), y - y.mean()
-    return float(np.sum(dx * dy) / np.sqrt(np.sum(dx * dx) * np.sum(dy * dy)))
-
-
-def _kendall_oracle(x, y):
-    """Brute-force tau-b over all pairs."""
-    n = len(x)
-    concordant = discordant = ties_x = ties_y = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = x[i] - x[j]
-            dy = y[i] - y[j]
-            if dx == 0:
-                ties_x += 1
-            if dy == 0:
-                ties_y += 1
-            if dx * dy > 0:
-                concordant += 1
-            elif dx * dy < 0:
-                discordant += 1
-    n0 = n * (n - 1) / 2
-    return (concordant - discordant) / np.sqrt((n0 - ties_x) * (n0 - ties_y))
 
 
 def _kendall_sign_matrix_oracle(x, y):
@@ -98,7 +60,7 @@ class TestPearson:
 
     def test_four_point_hand_value(self):
         x, y = [1, 2, 3, 4], [2, 1, 4, 3]
-        assert _pearson_oracle(x, y) == pytest.approx(0.6)
+        assert pearson_oracle(x, y) == pytest.approx(0.6)
         assert pearson(x, y) == pytest.approx(0.6, abs=1e-12)
 
     def test_length_mismatch(self):
@@ -161,12 +123,12 @@ class TestSpearman:
         x, y = [1, 1, 2], [3, 5, 4]
         np.testing.assert_array_equal(rankdata(x), [1.5, 1.5, 3.0])
         np.testing.assert_array_equal(rankdata(y), [1.0, 3.0, 2.0])
-        expected = _pearson_oracle(_rank_oracle(x), _rank_oracle(y))
+        expected = pearson_oracle(rank_oracle(x), rank_oracle(y))
         assert spearman(x, y) == pytest.approx(expected, abs=1e-12)
         # Tie-heavy at manifest scale, with signed zeros tied to each other.
         heavy = np.random.default_rng(7).integers(-20, 21, size=3000) / 4.0
         heavy[::2] *= -1.0
-        np.testing.assert_array_equal(rankdata(heavy), _rank_oracle(heavy))
+        np.testing.assert_array_equal(rankdata(heavy), rank_oracle(heavy))
 
     def test_is_pearson_of_ranks_by_construction(self):
         rng = np.random.default_rng(1)
@@ -185,23 +147,12 @@ class TestKendall:
 
     def test_four_point_hand_value(self):
         x, y = [1, 2, 3, 4], [1, 3, 2, 4]
-        assert _kendall_oracle(x, y) == pytest.approx(4.0 / 6.0)
+        assert kendall_oracle(x, y) == pytest.approx(4.0 / 6.0)
         assert kendall_tau_b(x, y) == pytest.approx(4.0 / 6.0, abs=1e-12)
 
     def test_constant_degenerate(self):
         with pytest.raises(DegenerateVarianceError):
             kendall_tau_b([3, 3, 3], [1, 2, 3])
-
-    def test_matches_bruteforce_with_ties(self):
-        rng = np.random.default_rng(2)
-        for _ in range(60):
-            n = int(rng.integers(3, 21))
-            x = rng.integers(0, 6, size=n).astype(float)
-            y = rng.integers(0, 6, size=n).astype(float)
-            if np.all(x == x[0]) or np.all(y == y[0]):
-                continue
-            assert kendall_tau_b(x, y) == pytest.approx(
-                _kendall_oracle(x, y), abs=1e-12)
 
     def test_bit_identical_to_sign_matrix_formula(self):
         rng = np.random.default_rng(11)
@@ -237,7 +188,7 @@ class TestKendall:
             y = rng.normal(size=n)
             assert kendall_tau_b(x, y) == _kendall_sign_matrix_oracle(x, y)
             assert kendall_tau_b(x, y) == pytest.approx(
-                _kendall_oracle(x, y), abs=1e-12)
+                kendall_oracle(x, y), abs=1e-12)
 
     def test_extreme_magnitudes_no_overflow(self):
         with warnings.catch_warnings():
