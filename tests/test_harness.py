@@ -633,7 +633,8 @@ class TestBatch256:
         _assert_same_plcc(*batch_256[1:3])
 
     def test_centring_blocks_leave_scores_and_ranks_unchanged(self, monkeypatch, batch_256):
-        # Five of the 61 window rows per block: blocks of 5 rows and one of 1.
+        # A bound of 5 of the 61 window rows: the window view is summed by
+        # row lags, in chunks of 17 of its 64 grid rows.
         manifest, *_, report = batch_256
         monkeypatch.setattr(saak, "_CENTRED_BLOCK", 5 * 61 * 496)
         blocked = _run_eval(parse_manifest(manifest), 0)

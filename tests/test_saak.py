@@ -48,6 +48,12 @@ def _bright_features():
     return sp_convert(forward_stage(bright[:, :, None], stage1))
 
 
+def _stage1_grid(ref):
+    """S/P stage-1 output of ``ref``: the grid stage 2 trains on."""
+    stage1 = train_stage(extract_training_patches(ref, saak.BLOCK_SIZE, saak.TRAIN_STRIDE))
+    return sp_convert(forward_stage(ref[:, :, None], stage1))
+
+
 def _oracle_inputs():
     """(samples, channels) cases for the covariance oracle tests.
 
@@ -573,34 +579,64 @@ class TestTrainModel:
     def test_stage2_matches_window_matrix_oracle_across_blocks(
             self, monkeypatch, height, width, rows_per_block):
         # A bound of k * C * 496 values, with C window columns, makes
-        # train_model centre the window view in blocks of k window rows and
-        # the channel-major oracle centre the flat window matrix in blocks
-        # of the same k * C samples, so both sum the same block Grams. None
-        # takes the default bound rounded down to whole window rows: 54 of
-        # 320x320's 77 rows.
+        # train_stage centre the flat window matrix in blocks of k * C
+        # samples, as the channel-major oracle does, so both sum the same
+        # block Grams. None takes the default bound rounded down to whole
+        # window rows: 54 of 320x320's 77 rows. A window view that size is
+        # summed by row lags instead (test_row_lag_gram_matches_one_block).
         ref = make_textured_image(36, height, width)
         rows, cols = height // 4 - 3, width // 4 - 3
         k = rows_per_block or saak._CENTRED_BLOCK // (cols * 496)
         assert k < rows
         monkeypatch.setattr(saak, "_CENTRED_BLOCK", k * cols * 496)
-        _assert_identical_stages(train_model(ref)[0],
-                                 _window_matrix_oracle(ref)[:2])
+        _, want, f = _window_matrix_oracle(ref)
+        got = train_stage(extract_feature_windows(f), input_channels=31)
+        _assert_identical_stages([got], [want])
+
+    @pytest.mark.parametrize("grid, bound", [
+        (lambda: _stage1_grid(make_textured_image(31, 64, 64)), 5 * 13 * 496),
+        (lambda: _stage1_grid(make_textured_image(36, 96, 160)), 3 * 37 * 496),
+        (_bright_features, 4 * 29 * 124),
+        (lambda: _stage1_grid(make_textured_image(36, 320, 320)), None)],
+        ids=["64x64-5", "96x160-3", "bright-1", "320x320-default"])
+    def test_row_lag_gram_matches_one_block(self, monkeypatch, grid, bound):
+        # A stride-1 window view above the bound is summed by window-row
+        # lags, in chunks of bound // (C * 124) - 3 grid rows (C window
+        # columns) plus 3 rows of overlap: one chunk for 64x64's 16 grid
+        # rows and at the default bound, chunks of 9 rows for 96x160 and of
+        # 1 row for the bright grid, whose channel means are large against
+        # its spread. Both the Gram and the stage must match one unbounded
+        # block, including the 64x64 rank-deficient null space.
+        windows = saak._windows(grid(), saak.BLOCK_SIZE, 1)
+        bound = bound or saak._CENTRED_BLOCK
+        assert windows.size > bound
+
+        def summed(bound):
+            monkeypatch.setattr(saak, "_CENTRED_BLOCK", bound)
+            return saak._centred_gram(windows), train_stage(windows, input_channels=31)
+
+        (lagged, stage), (whole, want) = summed(bound), summed(1 << 62)
+        np.testing.assert_allclose(lagged, whole, rtol=0,
+                                   atol=1e-14 * np.abs(whole).max())
+        _assert_same_stage(stage, want)
 
     def test_window_matrix_oracles_hold_with_one_blas_thread(self):
         # Equal bits from position-major centring and the channel-major
         # oracle rest on the BLAS summing each Gram entry in the same order
         # wherever its column sits, which may depend on the thread count;
-        # so may the round-off that centring blocks add. The thread count
-        # is read when numpy loads, so these run in a fresh interpreter.
+        # so may the round-off that centring blocks and row lags add. The
+        # thread count is read when numpy loads, so these run in a fresh
+        # interpreter.
         oracles = [f"tests/test_saak.py::TestTrainModel::{name}" for name in (
             "test_stage2_matches_window_matrix_oracle",
             "test_stage2_matches_window_matrix_oracle_across_blocks",
+            "test_row_lag_gram_matches_one_block",
             "test_centring_blocks_match_one_block",
             "test_centred_gram_blocks_match_one_block")]
         run = run_python("-m", "pytest", "-q", "-p", "no:cacheprovider",
                          *oracles, one_blas_thread=True)
         assert run.returncode == 0, run.stdout + run.stderr
-        assert "6 passed" in run.stdout
+        assert "10 passed" in run.stdout
 
     def test_peak_memory_bounded_by_centred_block(self):
         # At 512x512 the stage-2 window matrix is n x d float64 with
@@ -619,37 +655,48 @@ class TestTrainModel:
             tracemalloc.stop()
         assert peak < 0.5 * window_bytes
 
+    def test_row_lag_peak_memory_bounded_by_centred_block(self, monkeypatch):
+        # Row lags build the grid rows' horizontal windows in chunks of at
+        # most the bound (here 8 rows of a 256x256 reference's 61 x 124
+        # values), so the peak of summing its window view is the bound plus
+        # the d x d Gram and small per-row terms: under three grids. The
+        # whole 64 x 61 x 124 set of rows alone would be 3.8 grids.
+        grid = _stage1_grid(make_textured_image(35, 256, 256))
+        windows = saak._windows(grid, saak.BLOCK_SIZE, 1)
+        bound = 8 * 61 * 124
+        monkeypatch.setattr(saak, "_CENTRED_BLOCK", bound)
+        tracemalloc.start()
+        try:
+            saak._centred_gram(windows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * bound + 3 * grid.nbytes
+
     def test_centring_blocks_match_one_block(self, monkeypatch):
-        # A bound of 5 window rows splits a 64x64 reference's 13 rows of
-        # stage-2 windows (13 x 496 values each) into blocks of 5, 5 and 3;
-        # a bound of 128 rows splits 300 flat 16-value samples into 128,
-        # 128 and 44. Both must match one unbounded block to round-off.
-        ref = make_textured_image(31, 64, 64)
+        # A bound of 128 rows splits 300 flat 16-value samples into blocks
+        # of 128, 128 and 44, which must match one unbounded block to
+        # round-off. A window view above the bound is summed by row lags
+        # instead (test_row_lag_gram_matches_one_block).
         flat = np.random.default_rng(41).normal(0, 30, (300, 16))
 
-        def trained(bound, train):
+        def trained(bound):
             monkeypatch.setattr(saak, "_CENTRED_BLOCK", bound)
-            return train()
+            return train_stage(flat)
 
-        for bound, train in ((5 * 13 * 496, lambda: train_model(ref)[0][1]),
-                             (128 * 16, lambda: train_stage(flat))):
-            _assert_same_stage(trained(bound, train), trained(1 << 62, train))
+        _assert_same_stage(trained(128 * 16), trained(1 << 62))
 
     def test_centred_gram_blocks_match_one_block(self, monkeypatch):
         # The Gram source alone, with no eigen-conditioning in the way:
-        # blocks of 5 window rows must sum to one unbounded block's Gram
-        # within 1e-14 of its largest entry, for the 13 x 13 stage-2 windows
-        # of a 64x64 reference and for 300 flat 16-value samples.
-        ref = make_textured_image(31, 64, 64)
-        f = sp_convert(forward_stage(ref[:, :, None], train_model(ref)[0][0]))
+        # blocks of 5 of 300 flat 16-value samples must sum to one
+        # unbounded block's Gram within 1e-14 of its largest entry.
         flat = np.random.default_rng(41).normal(0, 30, (300, 1, 1, 4, 4))
-        for windows in (saak._windows(f, saak.BLOCK_SIZE, 1), flat):
-            monkeypatch.setattr(saak, "_CENTRED_BLOCK", 5 * windows[0].size)
-            blocked = saak._centred_gram(windows)
-            monkeypatch.setattr(saak, "_CENTRED_BLOCK", 1 << 62)
-            whole = saak._centred_gram(windows)
-            np.testing.assert_allclose(blocked, whole, rtol=0,
-                                       atol=1e-14 * np.abs(whole).max())
+        monkeypatch.setattr(saak, "_CENTRED_BLOCK", 5 * flat[0].size)
+        blocked = saak._centred_gram(flat)
+        monkeypatch.setattr(saak, "_CENTRED_BLOCK", 1 << 62)
+        whole = saak._centred_gram(flat)
+        np.testing.assert_allclose(blocked, whole, rtol=0,
+                                   atol=1e-14 * np.abs(whole).max())
 
     def test_reference_of_256_is_one_centring_block(self, monkeypatch):
         # Eval-size references (3721 x 496 stage-2 windows) fit the default
