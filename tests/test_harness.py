@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -492,60 +493,116 @@ def _write_golden_batch(tmp, seeds, size):
     return _write_manifest(tmp, rows)
 
 
-def _scores(report):
-    return [r.score for r in report.results]
+def _summary(report):
+    """A report's per-row scores, per-codec (SRCC, KRCC) and per-codec PLCC."""
+    return ([r.score for r in report.results],
+            {name: (c.srcc, c.krcc) for name, c in report.codecs.items()},
+            {name: c.plcc for name, c in report.codecs.items()})
 
 
-def _ranks(report):
-    return {name: (c.srcc, c.krcc) for name, c in report.codecs.items()}
+# The batches the determinism contract runs on: the golden 64x64 manifest
+# (4 references, whose stage-2 covariances have a null space) and a 256x256
+# one (2 references, full rank), 10 rows per reference each.
+CONTRACT_SEEDS = {64: (201, 202, 203, 204), 256: (301, 302)}
+# In a fresh interpreter at one BLAS thread, the calling thread's summary.
+_ONE_THREAD_SUMMARY = (
+    "import json, sys; from saakiqa import harness, parse_manifest, run_eval; "
+    "from test_harness import _summary; harness._worker_count = lambda sizes: 0; "
+    "print(json.dumps(_summary(run_eval(parse_manifest(sys.argv[1])))))")
 
 
-def _assert_row_order_keeps_scores_and_ranks(report, reversed_report):
-    rows = [(r.record, r.score) for r in report.results]
-    assert [(r.record, r.score) for r in reversed_report.results[::-1]] == rows
-    assert _ranks(reversed_report) == _ranks(report)
-
-
-def _assert_same_plcc(report, other):
-    for name, codec in report.codecs.items():
-        assert other.codecs[name].plcc == pytest.approx(codec.plcc, rel=1e-9)
-
-
-_ROW_ORDER_FIT = "ROADMAP item 3: the logistic fit depends on row order"
+def _contract_reports(tmp, size):
+    """The summaries of the run_evals the contract compares, by name."""
+    manifest = _write_golden_batch(tmp, CONTRACT_SEEDS[size], size)
+    records = parse_manifest(manifest)
+    pooled = _summary(_run_eval(records, POOL))
+    reversed_scores, *reversed_rest = _summary(_run_eval(records[::-1], POOL))
+    calling = _summary(_run_eval(records, 0))
+    with pytest.MonkeyPatch.context() as mp:
+        # A bound of 5 window rows: the window view is summed by row lags.
+        mp.setattr(saak, "_CENTRED_BLOCK", 5 * (size // 4 - 3) * 496)
+        blocked = _summary(_run_eval(records, 0))
+    # The thread count is read when numpy loads; JSON carries floats exactly.
+    run = run_python("-c", _ONE_THREAD_SUMMARY, str(manifest), one_blas_thread=True)
+    assert run.returncode == 0, run.stderr
+    scores, ranks, plcc = json.loads(run.stdout)
+    return {"pooled": pooled, "reversed": (reversed_scores[::-1], *reversed_rest),
+            "calling": calling, "blocked": blocked,
+            "one_thread": (scores, {n: tuple(p) for n, p in ranks.items()}, plcc)}
 
 
 @pytest.fixture(scope="module")
-def golden_reports(tmp_path_factory):
-    """Pooled run_eval of the golden manifest in input and reversed order."""
-    manifest = _write_golden_batch(tmp_path_factory.mktemp("golden"),
-                                   (201, 202, 203, 204), 64)
-    records = parse_manifest(manifest)
-    return _run_eval(records, POOL), _run_eval(records[::-1], POOL)
+def contract_reports(tmp_path_factory):
+    """Each contract batch's summaries by size, computed once per module."""
+    return functools.cache(
+        lambda size: _contract_reports(tmp_path_factory.mktemp(f"batch{size}"), size))
 
 
 class TestGolden:
-    def test_run_eval_scores_and_ranks(self, golden_reports):
-        report = golden_reports[0]
-        np.testing.assert_allclose(_scores(report), GOLDEN_SCORES, rtol=1e-9, atol=0)
-        assert _ranks(report) == GOLDEN_RANKS
+    def test_run_eval_scores_and_ranks(self, contract_reports):
+        scores, ranks, _ = contract_reports(64)["pooled"]
+        np.testing.assert_allclose(scores, GOLDEN_SCORES, rtol=1e-9, atol=0)
+        assert ranks == GOLDEN_RANKS
 
-    def test_row_order_leaves_scores_and_ranks_unchanged(self, golden_reports):
-        _assert_row_order_keeps_scores_and_ranks(*golden_reports)
 
-    @pytest.mark.xfail(strict=True, reason=_ROW_ORDER_FIT)
-    def test_row_order_leaves_plcc_unchanged(self, golden_reports):
-        _assert_same_plcc(*golden_reports)
+# What a report must not depend on. Each clause compares two of the
+# summaries above, with the relative tolerance its scores must hold.
+# Workers run one BLAS thread and the calling thread the default, so the
+# worker count is a thread count in disguise.
+CLAUSES = {
+    "row-order": ("pooled", "reversed", 0.0),
+    "centring-block": ("calling", "blocked", 1e-12),
+    "worker-count": ("calling", "pooled", 1e-12),
+    "blas-threads": ("calling", "one_thread", 1e-12),
+}
+QUANTITIES = ("scores", "ranks", "plcc")
+_ROW_ORDER_FIT = "ROADMAP item 3: the logistic fit depends on row order"
+_LAST_BIT_FIT = "ROADMAP item 3: the logistic fit moves with last-bit score changes"
+_NULL_SPACE = ("ROADMAP item 5: a 64x64 reference's stage-2 null-space kernels "
+               "move with the {}")
+# The cells that fail today, with the item that mends them. Under one BLAS
+# thread the calling thread does the workers' arithmetic, so the worker-count
+# and thread cells fail only where this process runs more threads.
+KNOWN_FAILURES = {
+    ("row-order", "plcc", 64): _ROW_ORDER_FIT,
+    ("row-order", "plcc", 256): _ROW_ORDER_FIT,
+    ("centring-block", "scores", 64): _NULL_SPACE.format("summation order"),
+    ("centring-block", "plcc", 64): _LAST_BIT_FIT,
+    ("centring-block", "plcc", 256): _LAST_BIT_FIT,
+    ("worker-count", "scores", 64): _NULL_SPACE.format("BLAS thread count"),
+    ("worker-count", "plcc", 64): _LAST_BIT_FIT,
+    ("worker-count", "plcc", 256): _LAST_BIT_FIT,
+    ("blas-threads", "scores", 64): _NULL_SPACE.format("BLAS thread count"),
+    ("blas-threads", "plcc", 64): _LAST_BIT_FIT,
+    ("blas-threads", "plcc", 256): _LAST_BIT_FIT,
+}
+_CELLS = [(clause, quantity, size) for size in CONTRACT_SEEDS
+          for clause in CLAUSES for quantity in QUANTITIES]
+assert set(KNOWN_FAILURES) <= set(_CELLS), set(KNOWN_FAILURES) - set(_CELLS)
 
-    @pytest.mark.xfail(not ONE_BLAS_THREAD, strict=True,
-                       reason="ROADMAP item 5: a 64x64 reference's stage-2 null-space "
-                              "kernels move with the BLAS thread count")
-    def test_pooled_batch_leaves_a_references_scores_unchanged(self, golden_reports):
-        # A batch the cost model pools, such as one of 20 or more references,
-        # is scored in one-BLAS-thread workers; the same reference alone is
-        # scored on the calling thread.
-        pooled = golden_reports[0]
-        alone = run_eval([r.record for r in pooled.results[:10]])
-        np.testing.assert_allclose(_scores(alone), _scores(pooled)[:10], rtol=1e-12, atol=0)
+
+def _cell(clause, quantity, size):
+    reason = KNOWN_FAILURES.get((clause, quantity, size))
+    if reason is None:
+        return pytest.param(size, clause, quantity)
+    fails = clause in ("row-order", "centring-block") or not ONE_BLAS_THREAD
+    return pytest.param(size, clause, quantity,
+                        marks=pytest.mark.xfail(fails, strict=True, reason=reason))
+
+
+class TestContract:
+    @pytest.mark.parametrize("size, clause, quantity", [_cell(*c) for c in _CELLS])
+    def test_report_does_not_depend_on(self, contract_reports, size, clause, quantity):
+        first, second, rtol = CLAUSES[clause]
+        reports = contract_reports(size)
+        i = QUANTITIES.index(quantity)
+        expected, got = reports[first][i], reports[second][i]
+        if quantity == "scores":
+            np.testing.assert_allclose(got, expected, rtol=rtol, atol=0)
+        elif quantity == "ranks":
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-9)
 
 
 class TestWorkerCount:
@@ -606,71 +663,6 @@ class TestWorkerCount:
         affinity = len(os.sched_getaffinity(0))
         got = harness._usable_cpus(str(root), str(tmp_path / "membership"))
         assert got == min(affinity, quota)
-
-
-@pytest.fixture(scope="module")
-def batch_256(tmp_path_factory):
-    """The 256x256 batch (2 references x 10 steps, 10 rows per codec): its
-    manifest, its pooled run_eval in input and in reversed order, and its
-    run_eval on the calling thread."""
-    manifest = _write_golden_batch(tmp_path_factory.mktemp("batch256"), (301, 302), 256)
-    records = parse_manifest(manifest)
-    return (manifest, _run_eval(records, POOL), _run_eval(records[::-1], POOL),
-            _run_eval(records, 0))
-
-
-class TestBatch256:
-    # What the report must not depend on: row order, the centring block,
-    # the BLAS thread count and the worker count. At 256x256 every
-    # reference has full-rank covariances, so scores, SRCC and KRCC hold
-    # today. PLCC does not: the logistic fit moves with row order and with
-    # last-bit score changes.
-    def test_row_order_leaves_scores_and_ranks_unchanged(self, batch_256):
-        _assert_row_order_keeps_scores_and_ranks(*batch_256[1:3])
-
-    @pytest.mark.xfail(strict=True, reason=_ROW_ORDER_FIT)
-    def test_row_order_leaves_plcc_unchanged(self, batch_256):
-        _assert_same_plcc(*batch_256[1:3])
-
-    def test_centring_blocks_leave_scores_and_ranks_unchanged(self, monkeypatch, batch_256):
-        # A bound of 5 of the 61 window rows: the window view is summed by
-        # row lags, in chunks of 17 of its 64 grid rows.
-        manifest, *_, report = batch_256
-        monkeypatch.setattr(saak, "_CENTRED_BLOCK", 5 * 61 * 496)
-        blocked = _run_eval(parse_manifest(manifest), 0)
-        np.testing.assert_allclose(_scores(blocked), _scores(report), rtol=1e-12, atol=0)
-        assert _ranks(blocked) == _ranks(report)
-
-    @pytest.mark.xfail(strict=True,
-                       reason="ROADMAP item 3: the logistic fit moves with last-bit score changes")
-    def test_centring_blocks_leave_plcc_unchanged(self, monkeypatch, batch_256):
-        manifest, *_, report = batch_256
-        monkeypatch.setattr(saak, "_CENTRED_BLOCK", 5 * 61 * 496)
-        _assert_same_plcc(report, _run_eval(parse_manifest(manifest), 0))
-
-    def test_worker_count_leaves_scores_and_ranks_unchanged(self, batch_256):
-        # Workers run one BLAS thread, the calling thread the default. No
-        # PLCC cell: where the default is one thread, it would pass.
-        _, pooled, _, report = batch_256
-        np.testing.assert_allclose(_scores(pooled), _scores(report), rtol=1e-12, atol=0)
-        assert _ranks(pooled) == _ranks(report)
-
-    def test_one_blas_thread_leaves_scores_and_ranks_unchanged(self, batch_256):
-        # The thread count is read when numpy loads, so the one-thread report
-        # is taken in a fresh interpreter, on its calling thread; JSON
-        # carries its floats exactly. No PLCC cell: where the default is one
-        # thread, it would pass.
-        manifest, *_, report = batch_256
-        code = ("import json, sys; from saakiqa import harness, parse_manifest, run_eval; "
-                "harness._worker_count = lambda sizes: 0; "
-                "r = run_eval(parse_manifest(sys.argv[1])); "
-                "print(json.dumps([[x.score for x in r.results], "
-                "{n: [c.srcc, c.krcc] for n, c in r.codecs.items()}]))")
-        run = run_python("-c", code, str(manifest), one_blas_thread=True)
-        assert run.returncode == 0, run.stderr
-        scores, ranks = json.loads(run.stdout)
-        np.testing.assert_allclose(scores, _scores(report), rtol=1e-12, atol=0)
-        assert {name: tuple(pair) for name, pair in ranks.items()} == _ranks(report)
 
 
 class TestEmitReport:

@@ -338,15 +338,20 @@ def _square_symmetries(image):
 
 
 class TestSymmetry:
-    @pytest.mark.parametrize("size", [128, 256])
+    @pytest.mark.parametrize("size", [
+        pytest.param(64, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 5: a 64x64 reference's stage-2 "
+                                "null-space kernels move with a symmetry")),
+        128, 256])
     def test_symmetries_of_the_square_leave_scores_unchanged(self, size):
         # Rotating, flipping or transposing a reference and its distorted
         # image alike only relabels pixels, so scores may move by round-off
         # alone (measured under 1 and 2 BLAS threads: at most 2.1e-14 at
         # 128x128, 4.3e-15 at 256x256). Sides are multiples of 16, so
-        # crop_to_multiple crops nothing. 64x64, whose stage-2 covariance
-        # has a null space, moves by up to 4.6e-7 and waits on deterministic
-        # null-space kernels (ROADMAP item 5).
+        # crop_to_multiple crops nothing. At 64x64 the stage-2 covariance
+        # has a null space, and scores move by up to 4.6e-7 under 2 BLAS
+        # threads and 2.3e-7 under 1, until the null-space kernels are
+        # deterministic.
         for seed in (310, 311, 312):
             ref = make_textured_image(seed, size, size)
             dists = [synth_distort(ref, q) for q in SCORE_GUARD_QSTEPS]
