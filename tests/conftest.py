@@ -1,3 +1,6 @@
+import contextlib
+import ctypes
+import functools
 import os
 import subprocess
 import sys
@@ -12,8 +15,61 @@ from saakiqa._workers import _BLAS_THREAD_VARS
 ROOT = Path(__file__).resolve().parents[1]
 # CPUs this process may run on; no test starts more worker processes.
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# Whether this process's BLAS runs one thread, as a scoring worker's does.
-ONE_BLAS_THREAD = CPUS == 1 or any(os.environ.get(v) == "1" for v in _BLAS_THREAD_VARS)
+
+
+@functools.cache
+def _openblas_switch():
+    """The (get, set) thread-count functions of the OpenBLAS numpy ships, or
+    None, as under MKL or Accelerate. The unprefixed ``openblas_…64_``
+    names, for an OpenBLAS built without scipy's prefix, are unverified."""
+    numpy_dir = Path(np.__file__).parent
+    for lib in [*numpy_dir.parent.glob("numpy.libs/*openblas*"),
+                *numpy_dir.glob(".dylibs/*openblas*")]:
+        dll = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_"):
+            if hasattr(dll, name.format("set")):
+                get, set_ = getattr(dll, name.format("get")), getattr(dll, name.format("set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(n):
+    """Run the block with numpy's BLAS at ``n`` threads, process-wide.
+
+    Yields the count's getter and the count before, which is restored
+    after. Where numpy's BLAS has no switch, the test is skipped.
+    """
+    switch = _openblas_switch()
+    if switch is None:
+        pytest.skip("numpy's BLAS has no in-process thread-count switch")
+    get, set_ = switch
+    before = get()
+    set_(n)
+    try:
+        yield get, before
+    finally:
+        set_(before)
+
+
+def at_each_blas_thread_count(test):
+    """Run ``test`` under one BLAS thread, then under two, undoing its
+    monkeypatches after each run. A failure notes its thread count."""
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for n in (1, 2):
+            with blas_threads(n):
+                try:
+                    test(*args, **kwargs)
+                except AssertionError as error:
+                    error.add_note(f"under {n} BLAS thread(s)")
+                    raise
+                finally:
+                    if "monkeypatch" in kwargs:
+                        kwargs["monkeypatch"].undo()
+    return run
 
 
 def run_python(*argv, one_blas_thread=False, timeout=300):
@@ -21,9 +77,10 @@ def run_python(*argv, one_blas_thread=False, timeout=300):
 
     The child imports from ``src`` and ``tests``. Its BLAS runs the
     library's default thread count, or one thread when ``one_blas_thread``
-    is set; numpy reads the count when it loads, so only a fresh
-    interpreter can change it. A child still running after ``timeout``
-    seconds is killed and fails the test.
+    sets the environment variables numpy's BLAS reads when it loads, as a
+    scoring worker's are; in-process, ``blas_threads`` sets the count. A
+    child still running after ``timeout`` seconds is killed and fails the
+    test.
     """
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     if one_blas_thread:
@@ -47,6 +104,15 @@ def make_textured_image(seed: int, height: int = 128, width: int = 128) -> np.nd
     smooth = (smooth - smooth.min()) / (smooth.max() - smooth.min())
     img = 20.0 + 215.0 * smooth + rng.normal(0.0, 4.0, (height, width))
     return np.clip(np.rint(img), 0.0, 255.0)
+
+
+def tied_sample(seed, n):
+    """Manifest-scale scores (3 decimals) and MOS (1 decimal), both tied."""
+    rng = np.random.default_rng(seed)
+    latent = rng.uniform(0.0, 1.0, n)
+    scores = np.round(0.55 + 0.4 * np.tanh(3.0 * (latent - 0.5))
+                      + rng.normal(0.0, 0.03, n), 3)
+    return scores, np.round(10.0 + 80.0 * latent + rng.normal(0.0, 6.0, n), 1)
 
 
 def rank_oracle(v):

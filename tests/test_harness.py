@@ -29,7 +29,7 @@ from saakiqa import (
     write_pgm,
 )
 from saakiqa import harness, saak
-from conftest import CPUS, ONE_BLAS_THREAD, make_textured_image, run_python
+from conftest import CPUS, blas_threads, make_textured_image
 
 QSTEPS = (2.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 # Workers a pooled run uses: two, or one on a one-CPU machine.
@@ -414,16 +414,11 @@ class TestReferenceGrouping:
             ("rA.pgm", "rA_q8.pgm", 4.0, "jpeg"),
             ("rB.pgm", "rA_q8.pgm", 0.5, "jpeg"),
         ]
-        manifest = _write_manifest(tmp_path, rows)
-        records = parse_manifest(manifest)
+        records = parse_manifest(_write_manifest(tmp_path, rows))
         # Workers run one BLAS thread, so the oracle for a pooled run does too.
-        code = ("import json, sys; from saakiqa import parse_manifest; "
-                "from test_harness import _per_row_oracle; "
-                "records = parse_manifest(sys.argv[1]); "
-                "print(json.dumps([_per_row_oracle(records, lam) for lam in (None, 0.4)]))")
-        run = run_python("-c", code, str(manifest), one_blas_thread=True)
-        assert run.returncode == 0, run.stderr
-        for lam_override, oracle in zip((None, 0.4), json.loads(run.stdout)):
+        for lam_override in (None, 0.4):
+            with blas_threads(1):
+                oracle = _per_row_oracle(records, lam_override)
             pooled = _run_eval(records, POOL, lam_override=lam_override)
             assert pooled.to_dict()["records"] == oracle
         calls, prepared = [], []
@@ -504,31 +499,25 @@ def _summary(report):
 # (4 references, whose stage-2 covariances have a null space) and a 256x256
 # one (2 references, full rank), 10 rows per reference each.
 CONTRACT_SEEDS = {64: (201, 202, 203, 204), 256: (301, 302)}
-# In a fresh interpreter at one BLAS thread, the calling thread's summary.
-_ONE_THREAD_SUMMARY = (
-    "import json, sys; from saakiqa import harness, parse_manifest, run_eval; "
-    "from test_harness import _summary; harness._worker_count = lambda sizes: 0; "
-    "print(json.dumps(_summary(run_eval(parse_manifest(sys.argv[1])))))")
 
 
 def _contract_reports(tmp, size):
-    """The summaries of the run_evals the contract compares, by name."""
-    manifest = _write_golden_batch(tmp, CONTRACT_SEEDS[size], size)
-    records = parse_manifest(manifest)
+    """The summaries of the run_evals the contract compares, by name. The
+    calling thread runs two BLAS threads, or one where it stands in for
+    the workers, whatever count this process started with."""
+    records = parse_manifest(_write_golden_batch(tmp, CONTRACT_SEEDS[size], size))
+    with blas_threads(2):
+        calling = _summary(_run_eval(records, 0))
+        with pytest.MonkeyPatch.context() as mp:
+            # A bound of 5 window rows: the window view is summed by row lags.
+            mp.setattr(saak, "_CENTRED_BLOCK", 5 * (size // 4 - 3) * 496)
+            blocked = _summary(_run_eval(records, 0))
+    with blas_threads(1):
+        one_thread = _summary(_run_eval(records, 0))
     pooled = _summary(_run_eval(records, POOL))
     reversed_scores, *reversed_rest = _summary(_run_eval(records[::-1], POOL))
-    calling = _summary(_run_eval(records, 0))
-    with pytest.MonkeyPatch.context() as mp:
-        # A bound of 5 window rows: the window view is summed by row lags.
-        mp.setattr(saak, "_CENTRED_BLOCK", 5 * (size // 4 - 3) * 496)
-        blocked = _summary(_run_eval(records, 0))
-    # The thread count is read when numpy loads; JSON carries floats exactly.
-    run = run_python("-c", _ONE_THREAD_SUMMARY, str(manifest), one_blas_thread=True)
-    assert run.returncode == 0, run.stderr
-    scores, ranks, plcc = json.loads(run.stdout)
     return {"pooled": pooled, "reversed": (reversed_scores[::-1], *reversed_rest),
-            "calling": calling, "blocked": blocked,
-            "one_thread": (scores, {n: tuple(p) for n, p in ranks.items()}, plcc)}
+            "calling": calling, "blocked": blocked, "one_thread": one_thread}
 
 
 @pytest.fixture(scope="module")
@@ -547,8 +536,8 @@ class TestGolden:
 
 # What a report must not depend on. Each clause compares two of the
 # summaries above, with the relative tolerance its scores must hold.
-# Workers run one BLAS thread and the calling thread the default, so the
-# worker count is a thread count in disguise.
+# Workers run one BLAS thread and the calling thread two, so the worker
+# count is a thread count in disguise.
 CLAUSES = {
     "row-order": ("pooled", "reversed", 0.0),
     "centring-block": ("calling", "blocked", 1e-12),
@@ -560,9 +549,7 @@ _ROW_ORDER_FIT = "ROADMAP item 3: the logistic fit depends on row order"
 _LAST_BIT_FIT = "ROADMAP item 3: the logistic fit moves with last-bit score changes"
 _NULL_SPACE = ("ROADMAP item 5: a 64x64 reference's stage-2 null-space kernels "
                "move with the {}")
-# The cells that fail today, with the item that mends them. Under one BLAS
-# thread the calling thread does the workers' arithmetic, so the worker-count
-# and thread cells fail only where this process runs more threads.
+# The cells that fail today, with the item that mends them.
 KNOWN_FAILURES = {
     ("row-order", "plcc", 64): _ROW_ORDER_FIT,
     ("row-order", "plcc", 256): _ROW_ORDER_FIT,
@@ -583,11 +570,8 @@ assert set(KNOWN_FAILURES) <= set(_CELLS), set(KNOWN_FAILURES) - set(_CELLS)
 
 def _cell(clause, quantity, size):
     reason = KNOWN_FAILURES.get((clause, quantity, size))
-    if reason is None:
-        return pytest.param(size, clause, quantity)
-    fails = clause in ("row-order", "centring-block") or not ONE_BLAS_THREAD
-    return pytest.param(size, clause, quantity,
-                        marks=pytest.mark.xfail(fails, strict=True, reason=reason))
+    marks = [] if reason is None else [pytest.mark.xfail(strict=True, reason=reason)]
+    return pytest.param(size, clause, quantity, marks=marks)
 
 
 class TestContract:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import saakiqa
-from conftest import ROOT, make_textured_image, run_python
-from saakiqa import synth_distort
+from conftest import ROOT, blas_threads, make_textured_image, run_python, tied_sample
+from saakiqa import logistic5_fit, synth_distort, train_model
 
 _PERFBENCH = ROOT / "perfbench"
 
@@ -38,10 +39,37 @@ def test_import_needs_only_numpy():
     assert top - sys.stdlib_module_names - {"numpy", "saakiqa"} == set()
 
 
+def _blas_fingerprint():
+    """SHA-256 digests of the stages trained on a 64x64 and a 256x256
+    reference and of the logistic fit on 20000 tied pairs."""
+    groups = [[a for stage in train_model(make_textured_image(201, n, n))[0]
+               for a in (stage.kernels, stage.eigenvalues)] for n in (64, 256)]
+    fit = logistic5_fit(*tied_sample(17, 20000))
+    groups.append([fit.beta, np.float64(fit.sse)])
+    return [hashlib.sha256(b"".join(a.tobytes() for a in g)).hexdigest() for g in groups]
+
+
+def test_blas_threads_gives_a_one_thread_interpreters_bits():
+    # Workers take one BLAS thread from the environment when numpy loads;
+    # the tests pin it in-process. Both must give the same bits, which two
+    # threads change at 64x64. Each block restores the count it found.
+    pinned = {}
+    for n in (1, 2):
+        with blas_threads(n) as (get, before):
+            assert get() == n
+            pinned[n] = _blas_fingerprint()
+        assert get() == before
+    run = run_python("-c", "from test_package import _blas_fingerprint; "
+                     "print(*_blas_fingerprint())", one_blas_thread=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == pinned[1]
+    assert pinned[2][0] != pinned[1][0]
+
+
 def test_fresh_interpreters_have_one_owner():
     # conftest.run_python sets the import path and the BLAS thread count of
-    # every interpreter the tests start, so no other test module imports
-    # subprocess.
+    # every interpreter the tests start, and conftest.blas_threads the count
+    # in this one, so no other test module imports subprocess or ctypes.
     importers = set()
     for path in (ROOT / "tests").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -51,9 +79,9 @@ def test_fresh_interpreters_have_one_owner():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.partition(".")[0] == "subprocess" for m in modules):
-                importers.add(path.name)
-    assert importers == {"conftest.py"}
+            importers.update((path.name, m.partition(".")[0]) for m in modules
+                             if m.partition(".")[0] in ("ctypes", "subprocess"))
+    assert importers == {("conftest.py", "ctypes"), ("conftest.py", "subprocess")}
 
 
 def test_no_name_defined_twice_in_one_scope():

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
-from conftest import make_textured_image, run_python
+from conftest import at_each_blas_thread_count, make_textured_image
 
 from saakiqa import saak
 from saakiqa.saak import extract_feature_windows
@@ -551,6 +551,7 @@ class TestTrainModel:
         with pytest.raises(ImageTooSmallError):
             train_model(img)
 
+    @at_each_blas_thread_count
     def test_stage2_matches_window_matrix_oracle(self):
         # Oracle: channel-major centring of the contiguous window matrix
         # from extract_feature_windows. train_stage centres windows
@@ -576,6 +577,7 @@ class TestTrainModel:
     @pytest.mark.parametrize("height, width, rows_per_block", [
         (64, 64, 5), (96, 160, 3), (320, 320, None)],
         ids=["64x64-5-5-3", "96x160-3", "320x320-default"])
+    @at_each_blas_thread_count
     def test_stage2_matches_window_matrix_oracle_across_blocks(
             self, monkeypatch, height, width, rows_per_block):
         # A bound of k * C * 496 values, with C window columns, makes
@@ -599,6 +601,7 @@ class TestTrainModel:
         (_bright_features, 4 * 29 * 124),
         (lambda: _stage1_grid(make_textured_image(36, 320, 320)), None)],
         ids=["64x64-5", "96x160-3", "bright-1", "320x320-default"])
+    @at_each_blas_thread_count
     def test_row_lag_gram_matches_one_block(self, monkeypatch, grid, bound):
         # A stride-1 window view above the bound is summed by window-row
         # lags, in chunks of bound // (C * 124) - 3 grid rows (C window
@@ -619,24 +622,6 @@ class TestTrainModel:
         np.testing.assert_allclose(lagged, whole, rtol=0,
                                    atol=1e-14 * np.abs(whole).max())
         _assert_same_stage(stage, want)
-
-    def test_window_matrix_oracles_hold_with_one_blas_thread(self):
-        # Equal bits from position-major centring and the channel-major
-        # oracle rest on the BLAS summing each Gram entry in the same order
-        # wherever its column sits, which may depend on the thread count;
-        # so may the round-off that centring blocks and row lags add. The
-        # thread count is read when numpy loads, so these run in a fresh
-        # interpreter.
-        oracles = [f"tests/test_saak.py::TestTrainModel::{name}" for name in (
-            "test_stage2_matches_window_matrix_oracle",
-            "test_stage2_matches_window_matrix_oracle_across_blocks",
-            "test_row_lag_gram_matches_one_block",
-            "test_centring_blocks_match_one_block",
-            "test_centred_gram_blocks_match_one_block")]
-        run = run_python("-m", "pytest", "-q", "-p", "no:cacheprovider",
-                         *oracles, one_blas_thread=True)
-        assert run.returncode == 0, run.stdout + run.stderr
-        assert "10 passed" in run.stdout
 
     def test_peak_memory_bounded_by_centred_block(self):
         # At 512x512 the stage-2 window matrix is n x d float64 with
@@ -673,6 +658,7 @@ class TestTrainModel:
             tracemalloc.stop()
         assert peak < 8 * bound + 3 * grid.nbytes
 
+    @at_each_blas_thread_count
     def test_centring_blocks_match_one_block(self, monkeypatch):
         # A bound of 128 rows splits 300 flat 16-value samples into blocks
         # of 128, 128 and 44, which must match one unbounded block to
@@ -686,6 +672,7 @@ class TestTrainModel:
 
         _assert_same_stage(trained(128 * 16), trained(1 << 62))
 
+    @at_each_blas_thread_count
     def test_centred_gram_blocks_match_one_block(self, monkeypatch):
         # The Gram source alone, with no eigen-conditioning in the way:
         # blocks of 5 of 300 flat 16-value samples must sum to one

@@ -4,7 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import kendall_oracle, pearson_oracle, rank_oracle, run_python
+from conftest import (blas_threads, kendall_oracle, pearson_oracle, rank_oracle,
+                      tied_sample)
 
 from saakiqa import stats
 from saakiqa import (
@@ -364,15 +365,6 @@ def _ridge_example():
     return x, y
 
 
-def _tied_sample(seed, n):
-    """Manifest-scale scores (3 decimals) and MOS (1 decimal), both tied."""
-    rng = np.random.default_rng(seed)
-    latent = rng.uniform(0.0, 1.0, n)
-    scores = np.round(0.55 + 0.4 * np.tanh(3.0 * (latent - 0.5))
-                      + rng.normal(0.0, 0.03, n), 3)
-    return scores, np.round(10.0 + 80.0 * latent + rng.normal(0.0, 6.0, n), 1)
-
-
 def _assert_same_fit(x, y):
     fit = logistic5_fit(x, y)
     beta, sse, iterations, converged = _reference_logistic5_fit(x, y)
@@ -380,6 +372,16 @@ def _assert_same_fit(x, y):
     assert fit.sse == sse
     assert (fit.iterations, fit.converged) == (iterations, converged)
     return fit
+
+
+def _assert_fit_blas_thread_invariant(x, y):
+    """The fit gives the same bits under one BLAS thread as under two."""
+    fits = []
+    for n in (1, 2):
+        with blas_threads(n):
+            fit = logistic5_fit(x, y)
+        fits.append((fit.beta.tobytes(), fit.sse, fit.iterations, fit.converged))
+    assert fits[0] == fits[1]
 
 
 class TestLogisticFitOracle:
@@ -402,33 +404,25 @@ class TestLogisticFitOracle:
         _assert_same_fit(rng.normal(size=25), rng.normal(size=25))
 
     def test_tied_manifest_scale_sample(self):
-        _assert_same_fit(*_tied_sample(17, 3000))
+        _assert_same_fit(*tied_sample(17, 3000))
 
     def test_budget_exhausted(self, monkeypatch):
         # A spent budget stops the simplex before it sorts its vertices, so
         # the best one is picked from an unsorted simplex.
-        x, y = _tied_sample(3, 200)
+        x, y = tied_sample(3, 200)
         for budget in (1, 7, 40):
             monkeypatch.setattr(stats, "_NM_MAX_ITER", budget)
             fit = _assert_same_fit(x, y)
             assert (fit.iterations, fit.converged) == (budget, False)
 
     def test_one_blas_thread_gives_the_same_bits(self):
-        # The thread count is read when numpy loads, so each side runs in a
-        # fresh interpreter.
-        code = ("import numpy as np\n"
-                "from test_stats import _ridge_example, _tied_sample\n"
-                "from saakiqa import logistic5_fit\n"
-                "for x, y in (_ridge_example(), _tied_sample(17, 3000)):\n"
-                "    f = logistic5_fit(x, y)\n"
-                "    print(f.beta.tobytes().hex(), f.sse.hex(), f.iterations, f.converged)\n")
-        outputs = []
-        for one_blas_thread in (False, True):
-            run = run_python("-c", code, one_blas_thread=one_blas_thread)
-            assert run.returncode == 0, run.stderr
-            outputs.append(run.stdout)
-        assert len(outputs[0].splitlines()) == 2
-        assert outputs[0] == outputs[1]
+        for x, y in (_ridge_example(), tied_sample(17, 3000)):
+            _assert_fit_blas_thread_invariant(x, y)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+    def test_one_blas_thread_gives_the_same_bits_at_large_n(self):
+        # At n = 20000 the SSE's last bits move with the thread count.
+        _assert_fit_blas_thread_invariant(*tied_sample(17, 20000))
 
 
 class TestLogisticEval:
