@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saakiqa import gaussian_filter
+from saakiqa import gaussian_filter, harness
 from saakiqa._workers import _BLAS_THREAD_VARS
 
 ROOT = Path(__file__).resolve().parents[1]
-# CPUs this process may run on; no test starts more worker processes.
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# Workers a forced pool starts: one per CPU the library may use, up to its
+# cap. No test starts more worker processes.
+POOL = min(harness._MAX_WORKERS, harness._usable_cpus())
 
 
 @functools.cache

@@ -24,16 +24,13 @@ from saakiqa import (
     psnr,
     read_pgm,
     run_eval,
-    spearman,
     synth_distort,
     write_pgm,
 )
 from saakiqa import harness, saak
-from conftest import CPUS, blas_threads, make_textured_image
+from conftest import POOL, blas_threads, make_textured_image
 
 QSTEPS = (2.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-# Workers a pooled run uses: two, or one on a one-CPU machine.
-POOL = min(2, CPUS)
 
 
 def _run_eval(records, workers, **kwargs):
@@ -52,8 +49,9 @@ def _write_manifest(tmp_path, rows, name="manifest.csv"):
 
 
 @pytest.fixture(scope="module")
-def synthetic_batch(tmp_path_factory):
-    """3 textured references x 6 quantization steps, mos := -qstep."""
+def synthetic_report(tmp_path_factory):
+    """run_eval's report on 3 textured references x 6 quantization steps,
+    mos := -qstep."""
     tmp = tmp_path_factory.mktemp("batch")
     rows = []
     for seed in (101, 102, 103):
@@ -64,10 +62,7 @@ def synthetic_batch(tmp_path_factory):
             dist_name = f"dist{seed}_q{int(q)}.pgm"
             write_pgm(synth_distort(ref, q), tmp / dist_name)
             rows.append((ref_name, dist_name, -q, "jpeg"))
-    manifest = _write_manifest(tmp, rows)
-    records = parse_manifest(manifest)
-    report = run_eval(records)
-    return tmp, records, report
+    return run_eval(parse_manifest(_write_manifest(tmp, rows)))
 
 
 class TestParseManifest:
@@ -273,62 +268,6 @@ class TestRunEval:
             for codec in ("jpeg", "jpeg2000")]
         assert (report.config["sigma"], report.config["radius"]) == (2.0, 6)
 
-    def test_synthetic_batch_rank_correlation(self, synthetic_batch):
-        _, records, report = synthetic_batch
-        jpeg = report.codecs["jpeg"]
-        assert jpeg.n == 18
-        assert jpeg.n_scored == 18
-        assert jpeg.srcc >= 0.9
-        assert -1.0 <= jpeg.plcc <= 1.0
-        assert -1.0 <= jpeg.krcc <= 1.0
-        scores = [r.score for r in report.results]
-        mos = [r.record.mos for r in report.results]
-        assert jpeg.srcc == pytest.approx(spearman(scores, mos), abs=1e-12)
-
-    def test_codec_lambda_resolution(self, tmp_path):
-        ref = make_textured_image(60, 64, 64)
-        write_pgm(ref, tmp_path / "ref.pgm")
-        write_pgm(synth_distort(ref, 64.0), tmp_path / "dist.pgm")
-        rows = [("ref.pgm", "dist.pgm", 1.0, "jpeg"),
-                ("ref.pgm", "dist.pgm", 1.0, "jpeg2000")]
-        records = parse_manifest(_write_manifest(tmp_path, rows))
-        by_codec = run_eval(records)
-        assert by_codec.results[0].score != by_codec.results[1].score
-        overridden = run_eval(records, lam_override=0.5)
-        assert overridden.results[0].score == overridden.results[1].score
-
-    def test_other_codec_requires_override(self, tmp_path):
-        ref = make_textured_image(61, 64, 64)
-        write_pgm(ref, tmp_path / "ref.pgm")
-        write_pgm(synth_distort(ref, 32.0), tmp_path / "dist.pgm")
-        rows = [("ref.pgm", "dist.pgm", 1.0, "webp"),
-                ("ref.pgm", "dist.pgm", 1.0, "jpeg")]
-        records = parse_manifest(_write_manifest(tmp_path, rows))
-        report = run_eval(records)
-        assert not report.results[0].ok
-        assert report.results[1].ok
-        report2 = run_eval(records, lam_override=0.4)
-        assert report2.results[0].ok
-        assert report2.results[0].score == report2.results[1].score
-
-    def test_row_failure_isolation(self, tmp_path):
-        for seed in (70, 71):
-            ref = make_textured_image(seed, 64, 64)
-            write_pgm(ref, tmp_path / f"r{seed}.pgm")
-            write_pgm(synth_distort(ref, 32.0), tmp_path / f"d{seed}.pgm")
-        rows = [("r70.pgm", "d70.pgm", 1.0, "jpeg"),
-                ("r71.pgm", "d71.pgm", 2.0, "jpeg")]
-        records = parse_manifest(_write_manifest(tmp_path, rows))
-        clean = run_eval(records)
-        # Truncate one distorted file and re-run.
-        raw = (tmp_path / "d71.pgm").read_bytes()
-        (tmp_path / "d71.pgm").write_bytes(raw[: len(raw) // 2])
-        broken = run_eval(records)
-        assert broken.results[0].ok
-        assert broken.results[0].score == clean.results[0].score
-        assert not broken.results[1].ok
-        assert "TruncatedData" in broken.results[1].error
-
     def test_no_valid_records(self, tmp_path):
         rows = [("missing1.pgm", "missing2.pgm", 1.0, "jpeg")]
         with pytest.raises(NoValidRecordsError, match="every record failed"):
@@ -503,8 +442,8 @@ CONTRACT_SEEDS = {64: (201, 202, 203, 204), 256: (301, 302)}
 
 def _contract_reports(tmp, size):
     """The summaries of the run_evals the contract compares, by name. The
-    calling thread runs two BLAS threads, or one where it stands in for
-    the workers, whatever count this process started with."""
+    calling thread runs two BLAS threads, whatever count this process
+    started with; the workers of the pooled runs run one."""
     records = parse_manifest(_write_golden_batch(tmp, CONTRACT_SEEDS[size], size))
     with blas_threads(2):
         calling = _summary(_run_eval(records, 0))
@@ -512,12 +451,10 @@ def _contract_reports(tmp, size):
             # A bound of 5 window rows: the window view is summed by row lags.
             mp.setattr(saak, "_CENTRED_BLOCK", 5 * (size // 4 - 3) * 496)
             blocked = _summary(_run_eval(records, 0))
-    with blas_threads(1):
-        one_thread = _summary(_run_eval(records, 0))
     pooled = _summary(_run_eval(records, POOL))
     reversed_scores, *reversed_rest = _summary(_run_eval(records[::-1], POOL))
     return {"pooled": pooled, "reversed": (reversed_scores[::-1], *reversed_rest),
-            "calling": calling, "blocked": blocked, "one_thread": one_thread}
+            "calling": calling, "blocked": blocked}
 
 
 @pytest.fixture(scope="module")
@@ -536,13 +473,13 @@ class TestGolden:
 
 # What a report must not depend on. Each clause compares two of the
 # summaries above, with the relative tolerance its scores must hold.
-# Workers run one BLAS thread and the calling thread two, so the worker
-# count is a thread count in disguise.
+# Workers run one BLAS thread and the calling thread two, so the pooled
+# run stands for one BLAS thread; TestReferenceGrouping checks that its
+# records equal a blas_threads(1) oracle's.
 CLAUSES = {
     "row-order": ("pooled", "reversed", 0.0),
     "centring-block": ("calling", "blocked", 1e-12),
-    "worker-count": ("calling", "pooled", 1e-12),
-    "blas-threads": ("calling", "one_thread", 1e-12),
+    "blas-threads": ("calling", "pooled", 1e-12),
 }
 QUANTITIES = ("scores", "ranks", "plcc")
 _ROW_ORDER_FIT = "ROADMAP item 3: the logistic fit depends on row order"
@@ -556,9 +493,6 @@ KNOWN_FAILURES = {
     ("centring-block", "scores", 64): _NULL_SPACE.format("summation order"),
     ("centring-block", "plcc", 64): _LAST_BIT_FIT,
     ("centring-block", "plcc", 256): _LAST_BIT_FIT,
-    ("worker-count", "scores", 64): _NULL_SPACE.format("BLAS thread count"),
-    ("worker-count", "plcc", 64): _LAST_BIT_FIT,
-    ("worker-count", "plcc", 256): _LAST_BIT_FIT,
     ("blas-threads", "scores", 64): _NULL_SPACE.format("BLAS thread count"),
     ("blas-threads", "plcc", 64): _LAST_BIT_FIT,
     ("blas-threads", "plcc", 256): _LAST_BIT_FIT,
@@ -650,52 +584,34 @@ class TestWorkerCount:
 
 
 class TestEmitReport:
-    def test_no_paths_writes_nothing(self, synthetic_batch, tmp_path):
-        _, _, report = synthetic_batch
-        emit_report(report)
+    def test_no_paths_writes_nothing(self, synthetic_report, tmp_path):
+        emit_report(synthetic_report)
         assert list(tmp_path.iterdir()) == []
 
-    def test_csv_rows(self, synthetic_batch, tmp_path):
-        _, _, report = synthetic_batch
+    def test_csv_rows(self, synthetic_report, tmp_path):
         out = tmp_path / "records.csv"
-        emit_report(report, csv_path=out)
+        emit_report(synthetic_report, csv_path=out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "ref,dist,codec,score,psnr_db,mos"
         assert len(lines) == 1 + 18
 
-    def test_json_roundtrip_and_stability(self, synthetic_batch, tmp_path):
-        _, records, report = synthetic_batch
-        p1 = tmp_path / "a.json"
-        p2 = tmp_path / "b.json"
-        emit_report(report, json_path=p1)
-        emit_report(run_eval(records), json_path=p2)
-        d1 = json.loads(p1.read_text())
-        d2 = json.loads(p2.read_text())
-        d1.pop("generated_at")
-        d2.pop("generated_at")
-        assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
-        assert d1["codecs"]["jpeg"]["srcc"] >= 0.9
-        assert len(d1["records"]) == 18
-
-    def test_scatter_sorted_and_refit(self, synthetic_batch, tmp_path):
-        _, _, report = synthetic_batch
+    def test_scatter_sorted_and_refit(self, synthetic_report, tmp_path):
         out = tmp_path / "scatter.tsv"
-        emit_report(report, scatter_path=out)
+        emit_report(synthetic_report, scatter_path=out)
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("# codec=jpeg")
         rows = [line.split("\t") for line in lines if not line.startswith("#")]
         assert len(rows) == 18
         scores = [float(r[0]) for r in rows]
         assert scores == sorted(scores)
-        beta = report.codecs["jpeg"].beta
+        beta = synthetic_report.codecs["jpeg"].beta
         for r in rows:
             # Oracle: re-evaluate the logistic curve at the emitted score.
             assert float(r[2]) == pytest.approx(
                 logistic5_eval(beta, float(r[0])), abs=1e-9)
 
-    def test_report_invariants(self, synthetic_batch):
-        _, _, report = synthetic_batch
-        payload = report.to_dict()
+    def test_report_invariants(self, synthetic_report):
+        payload = synthetic_report.to_dict()
         assert payload["tool"].startswith("saakiqa ")
         # The echo's values and JSON types are part of the report format.
         expected = (

@@ -11,11 +11,11 @@ import shutil
 
 import pytest
 
-from conftest import CPUS, ROOT, make_textured_image, run_python
+from conftest import POOL, ROOT, make_textured_image, run_python
 from saakiqa import synth_distort, write_pgm
 
-# Each caller forces the pool: up to one worker per CPU, at least one.
-_POOLED = f"harness._worker_count = lambda sizes: min(len(sizes), {CPUS})\n"
+# Each caller forces the pool: up to POOL workers, one per group.
+_POOLED = f"harness._worker_count = lambda sizes: min(len(sizes), {POOL})\n"
 
 
 def _write_batch(tmp_path, refs=(0, 1)):
@@ -66,7 +66,7 @@ def test_workers_run_one_blas_thread_on_the_callers_source(tmp_path):
     assert out["scored"] == [True] * 4
     assert out["environ_unchanged"]
     pids = [pid for pid, _, _ in out["workers"]]
-    assert len(set(pids)) == len(pids) == min(2, CPUS)
+    assert len(set(pids)) == len(pids) == POOL
     for _, source, blas in out["workers"]:
         assert source == out["caller"]
         assert blas == ["1", "1", "1"]
@@ -110,38 +110,27 @@ def test_killed_worker_makes_run_eval_raise(tmp_path):
 
 
 def test_worker_errors_match_the_calling_thread(tmp_path):
-    manifest = _write_batch(tmp_path)
-    with manifest.open("a") as fh:
-        fh.write("ref0.pgm,missing.pgm,1.0,jpeg\nref1.pgm,d1_8.pgm,1.0,webp\n"
-                 "nothing.pgm,d1_8.pgm,1.0,jpeg\n")
+    # No path at all is a bug in the caller, not a row error: a worker
+    # raises it as the calling thread does. Row errors are compared in
+    # test_harness.py::TestReferenceGrouping.
     body = (
         "import json\n"
-        "from saakiqa import EvalRecord, harness, parse_manifest, run_eval\n"
+        "from saakiqa import EvalRecord, harness, run_eval\n"
         + _POOLED +
-        "records = parse_manifest(sys.argv[1])\n"
-        "# No path at all is a bug in the caller, not a row error.\n"
         "bad = [EvalRecord(None, 'd.pgm', 1.0, 'jpeg'), EvalRecord('r.pgm', 'd.pgm', 1.0, 'jpeg')]\n"
-        "out = {}\n"
-        "for name, count in (('pooled', harness._worker_count), ('inline', lambda sizes: 0)):\n"
+        "raised = []\n"
+        "for count in (harness._worker_count, lambda sizes: 0):\n"
         "    harness._worker_count = count\n"
-        "    report = run_eval(records)\n"
         "    try:\n"
         "        run_eval(bad)\n"
         "    except TypeError as exc:\n"
-        "        raised = [str(exc), str(exc.__cause__)]\n"
-        "    out[name] = [[r.error for r in report.results], [r.score for r in report.results], raised]\n"
-        "print(json.dumps(out))\n")
-    out = json.loads(_run(tmp_path, body, manifest))
-    errors, scores, raised = out["pooled"]
-    assert errors == out["inline"][0]
-    assert [e is None for e in errors] == [True] * 4 + [False] * 3
-    assert errors[4].startswith("FileNotFoundError: ")
-    assert errors[5].startswith("SaakIqaError: codec 'other'")
-    assert all(s is not None for s in scores[:4])
-    assert raised[0] == out["inline"][2][0]
-    assert raised[0].startswith("expected str, bytes or os.PathLike object")
+        "        raised.append([str(exc), str(exc.__cause__)])\n"
+        "print(json.dumps(raised))\n")
+    (pooled, cause), (inline, _) = json.loads(_run(tmp_path, body))
+    assert pooled == inline
+    assert pooled.startswith("expected str, bytes or os.PathLike object")
     # The worker's traceback rides along as the cause.
-    assert raised[1].startswith("in a scoring worker:\nTraceback")
+    assert cause.startswith("in a scoring worker:\nTraceback")
 
 
 def test_unpicklable_worker_error_reaches_the_caller(tmp_path):
