@@ -442,8 +442,9 @@ CONTRACT_SEEDS = {64: (201, 202, 203, 204), 256: (301, 302)}
 
 def _contract_reports(tmp, size):
     """The summaries of the run_evals the contract compares, by name. The
-    calling thread runs two BLAS threads, whatever count this process
-    started with; the workers of the pooled runs run one."""
+    calling thread runs two BLAS threads, or one where it stands in for
+    the workers, whatever count this process started with; the workers
+    of the pooled runs run one."""
     records = parse_manifest(_write_golden_batch(tmp, CONTRACT_SEEDS[size], size))
     with blas_threads(2):
         calling = _summary(_run_eval(records, 0))
@@ -451,10 +452,12 @@ def _contract_reports(tmp, size):
             # A bound of 5 window rows: the window view is summed by row lags.
             mp.setattr(saak, "_CENTRED_BLOCK", 5 * (size // 4 - 3) * 496)
             blocked = _summary(_run_eval(records, 0))
+    with blas_threads(1):
+        one_thread = _summary(_run_eval(records, 0))
     pooled = _summary(_run_eval(records, POOL))
     reversed_scores, *reversed_rest = _summary(_run_eval(records[::-1], POOL))
     return {"pooled": pooled, "reversed": (reversed_scores[::-1], *reversed_rest),
-            "calling": calling, "blocked": blocked}
+            "calling": calling, "blocked": blocked, "one_thread": one_thread}
 
 
 @pytest.fixture(scope="module")
@@ -473,13 +476,15 @@ class TestGolden:
 
 # What a report must not depend on. Each clause compares two of the
 # summaries above, with the relative tolerance its scores must hold.
-# Workers run one BLAS thread and the calling thread two, so the pooled
-# run stands for one BLAS thread; TestReferenceGrouping checks that its
-# records equal a blas_threads(1) oracle's.
+# Workers run one BLAS thread, so each thread clause varies one factor:
+# blas-threads the calling thread's BLAS thread count, and worker-count
+# whether rows are scored on the calling thread or in workers, both at
+# one BLAS thread, where the scores must be equal bit for bit.
 CLAUSES = {
     "row-order": ("pooled", "reversed", 0.0),
     "centring-block": ("calling", "blocked", 1e-12),
-    "blas-threads": ("calling", "pooled", 1e-12),
+    "blas-threads": ("calling", "one_thread", 1e-12),
+    "worker-count": ("one_thread", "pooled", 0.0),
 }
 QUANTITIES = ("scores", "ranks", "plcc")
 _ROW_ORDER_FIT = "ROADMAP item 3: the logistic fit depends on row order"
