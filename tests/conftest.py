@@ -65,8 +65,7 @@ def at_each_blas_thread_count(test):
                 try:
                     test(*args, **kwargs)
                 except AssertionError as error:
-                    error.add_note(f"under {n} BLAS thread(s)")
-                    raise
+                    raise AssertionError(f"under {n} BLAS thread(s)") from error
                 finally:
                     if "monkeypatch" in kwargs:
                         kwargs["monkeypatch"].undo()

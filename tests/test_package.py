@@ -1,5 +1,4 @@
 import ast
-import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -11,7 +10,7 @@ import pytest
 
 import saakiqa
 from conftest import ROOT, blas_threads, make_textured_image, run_python, tied_sample
-from saakiqa import logistic5_fit, synth_distort, train_model
+from saakiqa import logistic5_fit, synth_distort
 
 _PERFBENCH = ROOT / "perfbench"
 
@@ -39,31 +38,26 @@ def test_import_needs_only_numpy():
     assert top - sys.stdlib_module_names - {"numpy", "saakiqa"} == set()
 
 
-def _blas_fingerprint():
-    """SHA-256 digests of the stages trained on a 64x64 and a 256x256
-    reference and of the logistic fit on 20000 tied pairs."""
-    groups = [[a for stage in train_model(make_textured_image(201, n, n))[0]
-               for a in (stage.kernels, stage.eigenvalues)] for n in (64, 256)]
+def _fit_bits():
+    """The bytes, in hex, of the logistic fit's beta and SSE on 20000 tied
+    pairs, whose last bits move with the BLAS thread count."""
     fit = logistic5_fit(*tied_sample(17, 20000))
-    groups.append([fit.beta, np.float64(fit.sse)])
-    return [hashlib.sha256(b"".join(a.tobytes() for a in g)).hexdigest() for g in groups]
+    return (fit.beta.tobytes() + np.float64(fit.sse).tobytes()).hex()
 
 
 def test_blas_threads_gives_a_one_thread_interpreters_bits():
     # Workers take one BLAS thread from the environment when numpy loads;
-    # the tests pin it in-process. Both must give the same bits, which two
-    # threads change at 64x64. Each block restores the count it found.
-    pinned = {}
-    for n in (1, 2):
-        with blas_threads(n) as (get, before):
-            assert get() == n
-            pinned[n] = _blas_fingerprint()
-        assert get() == before
-    run = run_python("-c", "from test_package import _blas_fingerprint; "
-                     "print(*_blas_fingerprint())", one_blas_thread=True)
+    # the tests pin it in-process. Both must give the same fit. Scoring is
+    # compared by the contract table's worker-count cells. The block
+    # restores the count it found.
+    with blas_threads(1) as (get, before):
+        assert get() == 1
+        pinned = _fit_bits()
+    assert get() == before
+    run = run_python("-c", "from test_package import _fit_bits; print(_fit_bits())",
+                     one_blas_thread=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == pinned[1]
-    assert pinned[2][0] != pinned[1][0]
+    assert run.stdout.strip() == pinned
 
 
 def test_fresh_interpreters_have_one_owner():
