@@ -529,29 +529,41 @@ class TestContract:
 
 
 class TestWorkerCount:
-    @pytest.mark.parametrize("sizes, cpus, workers", [
-        ([1] * 40, 64, 2),    # 40 references of one row: the pool wins
-        ([1] * 19, 64, 0),    # the workers' start is not paid back yet
-        ([10] * 4, 64, 0),
-        ([39, 1], 64, 0),     # one worker would do nearly all the work
-        ([100, 100], 64, 0),  # at 64x64, 200 rows do not pay the start back
-        ([1] * 39 + [40], 64, 2),
-        ([1], 64, 0),
-        ([1] * 40, 1, 0),     # one usable CPU: the calling thread
+    @pytest.mark.parametrize("sizes, workers", [
+        ([1] * 40, 2),    # 40 references of one row: the pool wins
+        ([1] * 19, 0),    # the workers' start is not paid back yet
+        ([10] * 4, 0),
+        ([39, 1], 0),     # one worker would do nearly all the work
+        ([100, 100], 0),  # at 64x64, 200 rows do not pay the start back
+        ([1] * 39 + [40], 2),
+        ([1], 0),
     ])
-    def test_pool_only_where_the_cost_model_says_it_wins(self, monkeypatch, sizes, cpus,
-                                                          workers):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    def test_pool_only_where_the_cost_model_says_it_wins(self, monkeypatch, sizes, workers):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
         assert harness._worker_count(sizes) == workers
+
+    def test_one_usable_cpu_scores_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        assert harness._worker_count([1] * 40) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs an affinity mask")
+    @pytest.mark.parametrize("files, quota", [
+        ({}, None),
+        ({"cpu.max": "max 100000\n"}, None),
+        ({"cpu.max": "150000 100000\n"}, 1),
+        ({"cpu.max": "50000 100000\n"}, 1),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+        ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+    ])
+    def test_usable_cpus_follow_affinity_and_cgroup_quota(self, tmp_path, files, quota):
+        (tmp_path / "cpu").mkdir()
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        affinity = len(os.sched_getaffinity(0))
+        assert harness._usable_cpus(str(tmp_path)) == min(affinity, quota or affinity)
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs an affinity mask")
     @pytest.mark.parametrize("membership, files, quota", [
-        (None, {}, None),
-        (None, {"cpu.max": "max 100000\n"}, None),
-        (None, {"cpu.max": "150000 100000\n"}, 1),
-        (None, {"cpu.max": "50000 100000\n"}, 1),
-        (None, {"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
-        (None, {"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
         ("0::/a/b\n", {"a/b/cpu.max": "100000 100000\n"}, 1),
         ("0::/a/b\n", {"cpu.max": "max 100000\n", "a/cpu.max": "100000 100000\n",
                        "a/b/cpu.max": "300000 100000\n"}, 1),
@@ -561,13 +573,10 @@ class TestWorkerCount:
         ("2:cpuacct:/\n4:cpu,cpuacct:/docker/x/y\n",
          {"cpu/cpu.cfs_quota_us": "100000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
         (None, {"cpu.max": "200000 100000\n", "a/cpu.max": "100000 100000\n"}, 2),
-    ], ids=["no-quota-files", "v2-unlimited", "v2-rounded-down", "v2-below-one-cpu",
-            "v1-unlimited", "v1-two-cpus", "v2-leaf", "v2-ancestor-tighter-than-leaf",
-            "v1-nested-cpu-cpuacct", "v1-deep-path-root-files-only",
-            "no-membership-file-root-only"])
+    ], ids=["v2-leaf", "v2-ancestor-tighter-than-leaf", "v1-nested-cpu-cpuacct",
+            "v1-deep-path-root-files-only", "no-membership-file-root-only"])
     def test_usable_cpus_take_the_smallest_quota_on_the_own_cgroup_path(
             self, tmp_path, membership, files, quota):
-        # A row with no quota expects the affinity count.
         root = tmp_path / "cgroup"
         for name, text in files.items():
             (root / name).parent.mkdir(parents=True, exist_ok=True)
@@ -576,7 +585,7 @@ class TestWorkerCount:
             (tmp_path / "membership").write_text(membership)
         affinity = len(os.sched_getaffinity(0))
         got = harness._usable_cpus(str(root), str(tmp_path / "membership"))
-        assert got == min(affinity, quota or affinity)
+        assert got == min(affinity, quota)
 
 
 class TestEmitReport:

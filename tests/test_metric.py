@@ -319,6 +319,13 @@ REGRESSION_LOCK_SCORES_BY_SIGMA = {
 }
 
 
+class TestPreparedReferenceEnergy:
+    def test_length_and_compaction(self, textured_image):
+        e = prepare_reference(textured_image(33, 64, 64)).terms.mean_square
+        assert e.shape == (496,)
+        assert e[0] > np.median(e[1:])
+
+
 # Quantiser steps of the distorted images that TestSymmetry scores.
 SCORE_GUARD_QSTEPS = (8.0, 32.0, 128.0)
 

@@ -17,6 +17,7 @@ from saakiqa import (
     NoTrainingSamplesError,
     QualityConfig,
     assess,
+    channel_stats,
     crop_to_multiple,
     extract_training_patches,
     forward,
@@ -179,6 +180,11 @@ class TestTrainStage:
         again = train_stage(samples)
         np.testing.assert_array_equal(stage.kernels, again.kernels)
 
+    def test_orthonormality(self):
+        stage = _random_stage(seed=1)
+        gram = stage.kernels @ stage.kernels.T
+        assert np.abs(gram - np.eye(stage.dim)).max() <= 1e-9
+
     def test_eigenvector_residuals(self):
         # Oracle: the full-dimension covariance of DC-removed residuals must
         # reproduce each AC kernel as an eigenvector to solver accuracy.
@@ -288,6 +294,16 @@ class TestSpPsConversion:
         out = ps_convert(t)
         np.testing.assert_array_equal(out[0, 0], [7.0, 3.0, -2.0])
 
+    def test_roundtrip_exact_and_disjoint(self):
+        rng = np.random.default_rng(11)
+        t = rng.normal(0, 100, (5, 6, 9))
+        t[..., 0] = np.abs(t[..., 0])
+        split = sp_convert(t)
+        assert np.all(split >= 0)
+        pos, neg = split[..., 1::2], split[..., 2::2]
+        assert np.array_equal(pos * neg, np.zeros_like(pos))
+        assert np.array_equal(ps_convert(split), t)
+
 
 class TestForwardStage:
     def test_constant_image(self):
@@ -319,6 +335,13 @@ class TestForwardStage:
             forward_stage(np.zeros((6, 8, 1)), stage)
         with pytest.raises(GeometryMismatchError):
             forward_stage(np.zeros((8, 8, 2)), stage)
+
+    def test_parseval(self):
+        stage = _random_stage(seed=12)
+        rng = np.random.default_rng(12)
+        x = rng.normal(0, 80, (16, 16, 1))
+        y = forward_stage(x, stage)
+        assert np.sum(y * y) == pytest.approx(np.sum(x * x), rel=1e-6)
 
     def test_dc_nonnegative_for_nonnegative_input(self):
         stage = _random_stage(seed=13)
@@ -368,6 +391,18 @@ class TestFullTransform:
         assert model[-1].dim == 496
         assert model[0].input_channels == 1
         assert model[1].input_channels == 31
+
+    def test_forward_deterministic(self, textured_image):
+        img = textured_image(21, 64, 64)
+        model = train_model(img)[0]
+        assert np.array_equal(forward(img, model), forward(img, model))
+
+    def test_roundtrip(self):
+        rng = np.random.default_rng(22)
+        img = np.floor(rng.uniform(0, 256, (32, 32)))
+        model = train_model(img)[0]
+        rec = inverse(forward(img, model), model)
+        assert np.abs(rec - img).max() <= 1e-6
 
     def test_zero_tensor_inverts_to_zero_image(self, textured_image):
         img = textured_image(23, 64, 64)
@@ -702,3 +737,15 @@ class TestTrainAndTransform:
         ref = make_textured_image(53, 64, 64)
         assess(ref, np.clip(ref + 3.0, 0.0, 255.0))
         assert len(calls) == 2 * saak.NUM_STAGES
+
+
+class TestChannelEnergyCompaction:
+    def test_energy_compaction(self, textured_image):
+        img = textured_image(28, 64, 64)
+        model = train_model(img)[0]
+        f = forward(img, model)
+        e = channel_stats(f, f).energy
+        # Oracle: the mean square evaluated channel by channel.
+        manual = np.array([np.mean(f[:, :, k] ** 2) for k in range(f.shape[2])])
+        np.testing.assert_allclose(e, manual, rtol=1e-12)
+        assert e[0] > np.median(e[1:])

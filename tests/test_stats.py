@@ -390,13 +390,9 @@ class TestLogisticFitOracle:
         assert fit.beta[0] < -1e13
 
     def test_zero_mean_grid_takes_the_offset_branch(self):
-        # mean(scores) is exactly 0, so the search starts at b3 = 0 and the
-        # simplex steps off that zero coordinate by a fixed offset instead
-        # of by 5 %. The noiseless curve is still recovered.
         x = np.arange(-20.0, 21.0) / 4.0
         assert x.mean() == 0.0
-        fit = _assert_same_fit(x, logistic5_eval([2.0, 1.0, 0.5, 0.1, 3.0], x))
-        assert fit.sse <= 1e-10
+        _assert_same_fit(x, logistic5_eval([2.0, 1.0, 0.5, 0.1, 3.0], x))
 
     def test_fewest_points(self):
         rng = np.random.default_rng(21)
@@ -462,11 +458,45 @@ class TestLogisticEval:
 
 
 class TestLogisticFit:
+    def test_exact_recovery(self):
+        beta_true = np.array([2.0, 1.0, 0.5, 0.1, 3.0])
+        # On the second grid mean(scores) is exactly 0, so the search starts
+        # at b3 = 0 and the simplex steps off that zero coordinate by a fixed
+        # offset instead of by 5 %.
+        for x in (np.linspace(-3.0, 4.0, 50), np.arange(-20.0, 21.0) / 4.0):
+            y = logistic5_eval(beta_true, x)
+            fit = logistic5_fit(x, y)
+            assert fit.sse <= 1e-10
+            assert pearson(logistic5_eval(fit.beta, x), y) >= 1.0 - 1e-9
+
+    def test_sse_is_that_of_the_returned_beta(self):
+        # The ridge example (b1 ~ -7.9e13) is where an SSE taken from the
+        # fit's own least-squares design drifted from the returned curve's.
+        ridge_x = np.sort(1.0 - np.geomspace(2e-4, 2e-2, 20))
+        ridge_y = np.round(20.0 + 3000.0 * (ridge_x - ridge_x.min())
+                           + np.random.default_rng(1).normal(0, 5, 20), 1)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=40)
+        for xs, ys in ((ridge_x, ridge_y), (x, np.tanh(x) + 0.1 * rng.normal(size=40))):
+            fit = logistic5_fit(xs, ys)
+            r = logistic5_eval(fit.beta, xs) - ys
+            assert fit.sse == float(r @ r)
+
     def test_linear_subfamily(self):
         x = np.linspace(0, 10, 30)
         y = 2.0 * x + 1.0
         fit = logistic5_fit(x, y)
         assert fit.sse <= 1e-10
+
+    def test_deterministic(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=40)
+        y = np.tanh(x) + 0.1 * rng.normal(size=40)
+        f1 = logistic5_fit(x, y)
+        f2 = logistic5_fit(x, y)
+        np.testing.assert_array_equal(f1.beta, f2.beta)
+        assert f1.sse == f2.sse
+        assert f1.iterations == f2.iterations
 
     def test_never_worse_than_initial(self):
         rng = np.random.default_rng(5)
