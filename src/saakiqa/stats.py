@@ -51,18 +51,32 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _sum_products(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of ``a * b`` by numpy's pairwise sum: unlike a BLAS dot, which
+    splits a long sum across its threads, it gives the same bits at any
+    BLAS thread count."""
+    return float(np.sum(a * b))
+
+
 def pearson(x, y) -> float:
-    """Pearson linear correlation coefficient in [-1, 1]."""
+    """Pearson linear correlation coefficient in [-1, 1].
+
+    Its sums of products are numpy's pairwise sums, so its bits do not
+    depend on the BLAS thread count.
+    """
     a, b = _pair(x, y)
     if np.all(a == a[0]) or np.all(b == b[0]):
         raise DegenerateVarianceError("constant input has undefined correlation")
     # Power-of-two scaling is exact: the result is unchanged, while the means
-    # and dot products can neither overflow nor underflow. Some entry is at
-    # least 2**-54 from the largest, in [0.5, 1), so da @ da and db @ db > 0.
+    # and sums of products can neither overflow nor underflow. Some entry is
+    # at least 2**-54 from the largest, in [0.5, 1), so both sums of squares
+    # are > 0.
     a, b = _unit_scaled(a), _unit_scaled(b)
     da = a - a.mean()
     db = b - b.mean()
-    return float(np.clip((da @ db) / np.sqrt((da @ da) * (db @ db)), -1.0, 1.0))
+    return float(np.clip(_sum_products(da, db)
+                         / np.sqrt(_sum_products(da, da) * _sum_products(db, db)),
+                         -1.0, 1.0))
 
 
 def _unit_scaled(v: np.ndarray) -> np.ndarray:
@@ -284,6 +298,8 @@ def logistic5_fit(scores, mos) -> LogisticFit:
     improving or the 20000-iteration budget is spent. The profiling removes
     the b1*b2 non-identifiability ridge that stalls a plain 5-D simplex.
     ``sse`` is that of :func:`logistic5_eval` at the returned ``beta``.
+    Every SSE is numpy's pairwise sum, so the fit's bits do not depend on
+    the BLAS thread count.
     Deterministic for identical input; ``converged=False`` flags budget
     exhaustion, with the best point so far still returned.
 
@@ -311,7 +327,7 @@ def logistic5_fit(scores, mos) -> LogisticFit:
         coef = np.linalg.lstsq(design, y, rcond=None)[0]
         np.matmul(design, coef, out=r)
         np.subtract(r, y, out=r)
-        return float(r @ r), coef
+        return _sum_products(r, r), coef
 
     def sse(b2, b3):
         return profile(b2, b3)[0]
@@ -333,5 +349,5 @@ def logistic5_fit(scores, mos) -> LogisticFit:
     coef = profile(*best)[1]
     beta = np.array([coef[0], best[0], best[1], coef[1], coef[2]])
     r = logistic5_eval(beta, x) - y
-    return LogisticFit(beta=beta, sse=float(r @ r), converged=converged,
+    return LogisticFit(beta=beta, sse=_sum_products(r, r), converged=converged,
                        iterations=total_iter)

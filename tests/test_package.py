@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import saakiqa
-from conftest import ROOT, blas_threads, make_textured_image, run_python, tied_sample
-from saakiqa import logistic5_fit, synth_distort
+from conftest import ROOT, blas_threads, make_textured_image, run_python
+from saakiqa import prepare_reference, synth_distort
 
 _PERFBENCH = ROOT / "perfbench"
 
@@ -38,24 +39,29 @@ def test_import_needs_only_numpy():
     assert top - sys.stdlib_module_names - {"numpy", "saakiqa"} == set()
 
 
-def _fit_bits():
-    """The bytes, in hex, of the logistic fit's beta and SSE on 20000 tied
-    pairs, whose last bits move with the BLAS thread count."""
-    fit = logistic5_fit(*tied_sample(17, 20000))
-    return (fit.beta.tobytes() + np.float64(fit.sse).tobytes()).hex()
+def _reference_bits():
+    """The SHA-256, in hex, of a 64 x 64 prepared reference's stage kernels
+    and features. Their last bits differ between one and two BLAS threads,
+    so a switch that did nothing would not give a one-thread run's digest."""
+    ref = prepare_reference(make_textured_image(41, 64, 64))
+    digest = hashlib.sha256()
+    for array in (*(stage.kernels for stage in ref.model), ref.f_ref):
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def test_blas_threads_gives_a_one_thread_interpreters_bits():
     # Workers take one BLAS thread from the environment when numpy loads;
-    # the tests pin it in-process. Both must give the same fit. Scoring is
-    # compared by the contract table's worker-count cells. The block
-    # restores the count it found.
+    # the tests pin it in-process. Both must prepare the same reference.
+    # Scoring is compared by the contract table's worker-count cells. The
+    # block restores the count it found.
     with blas_threads(1) as (get, before):
         assert get() == 1
-        pinned = _fit_bits()
+        pinned = _reference_bits()
     assert get() == before
-    run = run_python("-c", "from test_package import _fit_bits; print(_fit_bits())",
-                     one_blas_thread=True)
+    run = run_python(
+        "-c", "from test_package import _reference_bits; print(_reference_bits())",
+        one_blas_thread=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == pinned
 
@@ -152,6 +158,19 @@ def test_covariance_and_kernels_have_one_owner_each():
     # covariance becomes kernels, so a change to one half edits one function.
     assert _package_readers("_CENTRED_BLOCK") == {"saak._centred_gram"}
     assert _package_readers("eigh") == {"saak._kernels"}
+
+
+def test_stats_sums_products_in_one_place():
+    # A BLAS dot splits a long sum across its threads, so its last bits
+    # move with the thread count; stats sums every product through
+    # _sum_products instead, and calls no BLAS dot.
+    tree = ast.parse(Path(saakiqa.stats.__file__).read_text(encoding="utf-8"))
+    dots = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dot", "vdot", "inner")]
+    assert dots == []
 
 
 def test_filter_pads_once():

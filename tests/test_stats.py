@@ -101,7 +101,8 @@ class TestPearson:
     def test_bit_identical_to_unscaled_formula(self):
         def unscaled(x, y):
             dx, dy = x - x.mean(), y - y.mean()
-            return float(np.clip((dx @ dy) / np.sqrt((dx @ dx) * (dy @ dy)), -1.0, 1.0))
+            return float(np.clip(np.sum(dx * dy)
+                                 / np.sqrt(np.sum(dx * dx) * np.sum(dy * dy)), -1.0, 1.0))
 
         rng = np.random.default_rng(11)
         for _ in range(500):
@@ -111,6 +112,15 @@ class TestPearson:
             x = rng.normal(size=n) * scale + offset
             y = rng.normal(size=n) + 0.5 * x / scale
             assert pearson(x, y) == unscaled(x, y)
+
+    def test_one_blas_thread_gives_the_same_bits_at_large_n(self):
+        # At n = 20000 a BLAS dot would split each sum across threads.
+        x, y = tied_sample(17, 20000)
+        results = []
+        for n in (1, 2):
+            with blas_threads(n):
+                results.append((pearson(x, y), spearman(x, y)))
+        assert results[0] == results[1]
 
 
 class TestSpearman:
@@ -333,7 +343,7 @@ def _reference_logistic5_fit(scores, mos):
         design = np.column_stack([0.5 - 1.0 / (1.0 + np.exp(t)), x, ones])
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         r = design @ coef - y
-        return float(r @ r), coef
+        return float(np.sum(r * r)), coef
 
     nl0 = np.array([1.0 / x.std(), x.mean()])
     best, best_f = nl0, profile(nl0)[0]
@@ -353,7 +363,7 @@ def _reference_logistic5_fit(scores, mos):
     coef = profile(best)[1]
     beta = np.array([coef[0], best[0], best[1], coef[1], coef[2]])
     r = _reference_logistic5_eval(beta, x) - y
-    return beta, float(r @ r), total_iter, converged
+    return beta, float(np.sum(r * r)), total_iter, converged
 
 
 def _ridge_example():
@@ -419,9 +429,8 @@ class TestLogisticFitOracle:
         for x, y in (_ridge_example(), tied_sample(17, 3000)):
             _assert_fit_blas_thread_invariant(x, y)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
     def test_one_blas_thread_gives_the_same_bits_at_large_n(self):
-        # At n = 20000 the SSE's last bits move with the thread count.
+        # At n = 20000 a BLAS dot would split the SSE's sum across threads.
         _assert_fit_blas_thread_invariant(*tied_sample(17, 20000))
 
 
@@ -480,7 +489,7 @@ class TestLogisticFit:
         for xs, ys in ((ridge_x, ridge_y), (x, np.tanh(x) + 0.1 * rng.normal(size=40))):
             fit = logistic5_fit(xs, ys)
             r = logistic5_eval(fit.beta, xs) - ys
-            assert fit.sse == float(r @ r)
+            assert fit.sse == float(np.sum(r * r))
 
     def test_linear_subfamily(self):
         x = np.linspace(0, 10, 30)
