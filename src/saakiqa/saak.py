@@ -50,6 +50,12 @@ TILE = BLOCK_SIZE ** NUM_STAGES
 # Float64 values in the one buffer _centred_gram centres its samples into
 # (16 MiB): the smallest power of two that holds a 272x272 reference's
 # stage-2 windows, so references up to that size are centred in one block.
+# Larger references size their row-lag buffers by it too, and those stay at
+# 16 MiB although a smaller one would lower the peak: glibc raises its mmap
+# and trim thresholds to the largest block freed, so freeing this buffer
+# lets a warm assess reuse heap pages for every smaller array. Row-lag
+# buffers of 4 or 1 MiB cost a warm 512x512 assess about 7000 minor page
+# faults (about none at 16 MiB) and some of its speed.
 _CENTRED_BLOCK = 1 << 21
 
 
@@ -89,12 +95,23 @@ def extract_training_patches(img, block: int, stride: int) -> np.ndarray:
     when nothing survives the filter.
     """
     wins = _windows(as_image(img)[:, :, np.newaxis], block, stride)
-    vecs = wins.reshape(-1, block * block)
-    keep = vecs.std(axis=1) > STD_THRESHOLD
+    rows, cols, d = wins.shape[0], wins.shape[1], block * block
+    # The mask is decided over chunks of about 4096 windows, each copied
+    # into one reused buffer as (k, d) rows: a row's std is the same
+    # reduction over the same d values as in one (n, d) matrix, so the kept
+    # set is the same, and no copy or std temporary of every window is made.
+    step = max(1, 4096 // cols)
+    keep = np.empty((rows, cols), dtype=bool)
+    buf = np.empty((min(step, rows),) + wins.shape[1:])
+    for start in range(0, rows, step):
+        chunk = buf[:min(step, rows - start)]
+        np.copyto(chunk, wins[start:start + step])
+        std = chunk.reshape(-1, d).std(axis=1)
+        keep[start:start + step] = (std > STD_THRESHOLD).reshape(-1, cols)
     if not keep.any():
         raise NoTrainingSamplesError(
             f"no patch has standard deviation > {STD_THRESHOLD}")
-    return vecs[keep]
+    return wins[keep].reshape(-1, d)
 
 
 def extract_feature_windows(features) -> np.ndarray:
@@ -380,8 +397,11 @@ def forward_stage(features, stage: SaakStage) -> np.ndarray:
         raise GeometryMismatchError(
             f"spatial dims {f.shape[1]}x{f.shape[0]} not divisible by {bs}")
     blocks = _windows(f, bs, bs)
-    coeffs = blocks.reshape(-1, stage.dim) @ stage.kernels.T
-    return coeffs.reshape(blocks.shape[:2] + (stage.dim,))
+    grid, x = blocks.shape[:2], blocks.reshape(-1, stage.dim)
+    # x copies the blocks unless they lie contiguous in the input, which is
+    # then freed here unless the caller holds it.
+    del features, f, blocks
+    return (x @ stage.kernels.T).reshape(grid + (stage.dim,))
 
 
 def inverse_stage(coefficients, stage: SaakStage) -> np.ndarray:
@@ -409,9 +429,9 @@ def forward(img, model: tuple[SaakStage, ...]) -> np.ndarray:
     """
     x = as_image(img)[:, :, np.newaxis]
     for i, stage in enumerate(model):
-        if i:
-            x = sp_convert(x)
-        x = forward_stage(x, stage)
+        # Only forward_stage holds the S/P output, so it is freed once
+        # copied into blocks, before the stage's product is allocated.
+        x = forward_stage(sp_convert(x) if i else x, stage)
     return x
 
 

@@ -102,8 +102,39 @@ class TestExtractTrainingPatches:
                 extract_training_patches(img, block, stride)
 
     def test_constant_image_has_no_samples(self):
-        with pytest.raises(NoTrainingSamplesError):
-            extract_training_patches(np.full((16, 16), 77.0), 4, 1)
+        # One chunk of windows, and 512x512's 16 chunks of 16 window rows.
+        for size in (16, 512):
+            with pytest.raises(NoTrainingSamplesError,
+                               match=r"^no patch has standard deviation > 2\.0$"):
+                extract_training_patches(np.full((size, size), 77.0), 4, 1)
+
+    @pytest.mark.parametrize("case", ["512x512", "1000x72-ragged", "near-threshold"])
+    def test_chunked_selection_matches_one_shot_oracle(self, case):
+        # The mask is decided over chunks of about 4096 windows: 16 chunks
+        # of 16 window rows at 512x512, 117-row chunks and a last one of 31
+        # for 1000x72's 499 x 35 windows, 4 chunks for 256x256. A +-2
+        # checkerboard about 0.7, each pixel moved by up to 3 ulp, puts
+        # every patch's std within a few ulp of STD_THRESHOLD, most of them
+        # on it: a std summed in another order, or the variance compared
+        # with 4, decides thousands of these patches the other way.
+        if case == "near-threshold":
+            rng = np.random.default_rng(36)
+            checker = np.indices((256, 256)).sum(axis=0) % 2 * 2.0 - 1.0
+            img = 0.7 + 2.0 * checker
+            img += rng.integers(-3, 4, img.shape) * np.spacing(img)
+        else:
+            h, w = (512, 512) if case == "512x512" else (1000, 72)
+            img = make_textured_image(36, h, w)
+        v = sliding_window_view(img, (4, 4))[::2, ::2].reshape(-1, 16)
+        std = v.std(axis=1)
+        assert v.shape[0] > 3 * 4096
+        if case == "near-threshold":
+            assert np.abs(std - saak.STD_THRESHOLD).max() < 1e-14
+            assert 0 < np.count_nonzero(std > saak.STD_THRESHOLD) < v.shape[0]
+        got = extract_training_patches(img, 4, 2)
+        want = v[std > saak.STD_THRESHOLD]
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_single_textured_patch(self):
         img = np.arange(16, dtype=np.float64).reshape(4, 4)
@@ -392,6 +423,21 @@ class TestFullTransform:
         assert model[0].input_channels == 1
         assert model[1].input_channels == 31
 
+    def test_peak_memory_below_three_outputs(self):
+        # forward_stage frees its input once its blocks are copied, and
+        # forward holds no S/P output, so at 512x512 stage 2's product
+        # (4 MB) overlaps its copied blocks and stage 1's output (2 MB),
+        # not the 4 MB S/P grid as well: 2.5x the output, not 3x.
+        img = make_textured_image(37, 512, 512)
+        model = train_model(img)[0]
+        tracemalloc.start()
+        try:
+            out = forward(img, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * out.nbytes
+
     def test_forward_deterministic(self, textured_image):
         img = textured_image(21, 64, 64)
         model = train_model(img)[0]
@@ -633,6 +679,21 @@ class TestTrainModel:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * window_bytes
+
+    def test_peak_memory_at_1024_below_seven_images(self):
+        # At 1024x1024 the peak is about 6x the image: stage 1's training
+        # (its kept patches, up to 511**2 x 16 float64 or 4x the image, and
+        # the 16 MiB centring buffer), or stage 2's forward (the S/P grid,
+        # its block copy and the product, 2x the image each). Copying every
+        # window and a std temporary of that size made stage 1 8.5x.
+        img = make_textured_image(38, 1024, 1024)
+        tracemalloc.start()
+        try:
+            train_model(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * img.nbytes
 
     def test_row_lag_peak_memory_bounded_by_centred_block(self, monkeypatch):
         # Row lags build the grid rows' horizontal windows in chunks of at
