@@ -427,12 +427,17 @@ def forward(img, model: tuple[SaakStage, ...]) -> np.ndarray:
     blocks. The result keeps the final stage's signed coefficients:
     ``(H/TILE, W/TILE, K)`` for :func:`train_model`'s two stages.
     """
-    x = as_image(img)[:, :, np.newaxis]
+    # Each grid is popped from this list as it is handed on, so no local
+    # holds it: the input image is freed once stage 1's blocks are copied,
+    # each stage's output once it is S/P-converted, and each S/P grid once
+    # its blocks are copied, before the stage's product is allocated.
+    grid = [as_image(img)[:, :, np.newaxis]]
+    del img
     for i, stage in enumerate(model):
-        # Only forward_stage holds the S/P output, so it is freed once
-        # copied into blocks, before the stage's product is allocated.
-        x = forward_stage(sp_convert(x) if i else x, stage)
-    return x
+        if i:
+            grid.append(sp_convert(grid.pop()))
+        grid.append(forward_stage(grid.pop(), stage))
+    return grid.pop()
 
 
 def inverse(features, model: tuple[SaakStage, ...]) -> np.ndarray:
@@ -463,10 +468,12 @@ def train_model(ref) -> tuple[tuple[SaakStage, ...], np.ndarray]:
     ref = as_image(ref)
     stages = [train_stage(extract_training_patches(ref, BLOCK_SIZE, TRAIN_STRIDE),
                           input_channels=1)]
-    x = forward_stage(ref[:, :, np.newaxis], stages[0])
+    # As in forward, each grid is handed on from this list with no local
+    # holding it, so it is freed as soon as it has been read.
+    grid = [ref[:, :, np.newaxis]]
+    del ref
     for _ in range(1, NUM_STAGES):
-        x = sp_convert(x)
-        stages.append(train_stage(_windows(x, BLOCK_SIZE, 1),
-                                  input_channels=x.shape[2]))
-        x = forward_stage(x, stages[-1])
-    return tuple(stages), x
+        grid.append(sp_convert(forward_stage(grid.pop(), stages[-1])))
+        stages.append(train_stage(_windows(grid[0], BLOCK_SIZE, 1),
+                                  input_channels=grid[0].shape[2]))
+    return tuple(stages), forward_stage(grid.pop(), stages[-1])

@@ -4,6 +4,7 @@ import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,20 @@ def run_python(*argv, one_blas_thread=False, timeout=300):
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
     return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Run ``fn(*args, **kwargs)`` under ``tracemalloc`` and return the
+    bytes it allocated at its peak and the bytes still allocated when it
+    returned, its result included."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak, retained
 
 
 def make_textured_image(seed: int, height: int = 128, width: int = 128) -> np.ndarray:

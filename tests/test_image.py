@@ -1,9 +1,9 @@
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from saakiqa import (
     ImageTooSmallError,
@@ -355,13 +355,12 @@ class TestGaussianFilter:
         # check refuses it before any of that is allocated.
         img = np.zeros((16, 16))
         assert np.array_equal(gaussian_filter(img, 16.0), img)
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ValueError, match="longer side 16"):
                 gaussian_filter(img, 1e9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        peak, _ = traced_peak(refused)
         assert peak < 1 << 20
 
     def test_row_mean_preserved_for_constant_columns(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import make_textured_image
+from conftest import make_textured_image, traced_peak
 
 from saakiqa import (
     CODEC_LAMBDAS,
@@ -12,6 +12,7 @@ from saakiqa import (
     SaakIqaError,
     assess,
     channel_stats,
+    crop_to_multiple,
     forward,
     gaussian_filter,
     prepare_reference,
@@ -90,16 +91,31 @@ class TestChannelStats:
         _assert_stats_equal(channel_stats(prepared.f_ref, f_dist), want)
 
     def test_prepared_reference_matches_tensor(self, textured_image):
-        img = textured_image(38, 96, 128)
-        prepared = prepare_reference(img, 2.0)
-        f_dist = forward(gaussian_filter(synth_distort(img, 16.0), 2.0),
-                         prepared.model)
-        got = channel_stats(prepared, f_dist)
-        want = channel_stats(prepared.f_ref, f_dist)
-        _assert_stats_equal(got, (want.mse, want.correlation, want.energy,
-                                  want.weight))
+        # The prepared side keeps per-channel vectors only and centres the
+        # reference maps again on each call; that gives the same bits as
+        # the feature tensor, at eval sizes and for a ragged reference,
+        # which is cropped to 64x80, and leaves the distorted tensor as it
+        # was given.
+        for seed, shape, sigma in ((38, (96, 128), 2.0), (40, (64, 64), 1.0),
+                                   (41, (256, 256), 1.0), (42, (70, 90), 1.0)):
+            img = textured_image(seed, *shape)
+            prepared = prepare_reference(img, sigma)
+            cropped = crop_to_multiple(img, 16)
+            f_dist = forward(gaussian_filter(synth_distort(cropped, 16.0), sigma),
+                             prepared.model)
+            given = f_dist.copy()
+            got = channel_stats(prepared, f_dist)
+            want = channel_stats(prepared.f_ref, f_dist)
+            _assert_stats_equal(got, (want.mse, want.correlation, want.energy,
+                                      want.weight))
+            assert np.array_equal(f_dist, given)
         with pytest.raises(GeometryMismatchError):
             channel_stats(prepared, f_dist[:-1])
+
+    def test_prepared_terms_are_channel_vectors(self, textured_image):
+        prepared = prepare_reference(textured_image(43, 64, 64))
+        assert prepared.terms._fields == ("mean", "variance", "mean_square")
+        assert [t.shape for t in prepared.terms] == [(496,)] * 3
 
     def test_identical_tensors(self):
         rng = np.random.default_rng(0)
@@ -244,6 +260,28 @@ class TestAssess:
         # The caller's image is left as it was given.
         assert prepared.image is img
         assert img.flags.writeable
+
+    def test_prepared_reference_retains_features_and_kernels(self):
+        # Besides f_ref and the stages, a prepared reference keeps only
+        # per-channel vectors; keeping its centred maps too took about
+        # twice f_ref.
+        img = make_textured_image(44, 512, 512)
+        prepared = prepare_reference(img)
+        arrays = [prepared.f_ref, *(a for s in prepared.model
+                                    for a in (s.kernels, s.eigenvalues))]
+        _, retained = traced_peak(prepare_reference, img)
+        assert retained < 1.05 * sum(a.nbytes for a in arrays)
+
+    def test_peak_memory_at_1024_below_nine_images(self):
+        # At 1024x1024 an unprepared assess peaks at about 8x the image,
+        # scoring the distorted features (the tensor and channel_stats's
+        # two scratch buffers, 2x the image each) while the prepared
+        # reference is held. A reference that also kept its centred maps
+        # made it 10x.
+        img = make_textured_image(45, 1024, 1024)
+        dist = synth_distort(img, 32.0)
+        peak, _ = traced_peak(assess, img, dist)
+        assert peak < 9 * img.nbytes
 
     def test_prepared_reference_rejects_other_transform(self, textured_image):
         ref = textured_image(36, 64, 64)

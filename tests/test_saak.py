@@ -1,11 +1,10 @@
 import dataclasses
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
-from conftest import at_each_blas_thread_count, make_textured_image
+from conftest import at_each_blas_thread_count, make_textured_image, traced_peak
 
 from saakiqa import saak
 from saakiqa.saak import extract_feature_windows
@@ -425,18 +424,16 @@ class TestFullTransform:
 
     def test_peak_memory_below_three_outputs(self):
         # forward_stage frees its input once its blocks are copied, and
-        # forward holds no S/P output, so at 512x512 stage 2's product
-        # (4 MB) overlaps its copied blocks and stage 1's output (2 MB),
-        # not the 4 MB S/P grid as well: 2.5x the output, not 3x.
+        # forward holds no grid it has handed on, so at 512x512 stage 2's
+        # product (4 MB) overlaps only its copied blocks. The peak, 2.5x
+        # the output, is the S/P conversion: stage 1's output (2 MB), the
+        # 4 MB S/P grid and the split's temporaries. Holding the S/P grid
+        # as well during stage 2's product made it 3x.
         img = make_textured_image(37, 512, 512)
         model = train_model(img)[0]
-        tracemalloc.start()
-        try:
-            out = forward(img, model)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.75 * out.nbytes
+        out_bytes = forward(img, model).nbytes
+        peak, _ = traced_peak(forward, img, model)
+        assert peak < 2.75 * out_bytes
 
     def test_forward_deterministic(self, textured_image):
         img = textured_image(21, 64, 64)
@@ -672,28 +669,27 @@ class TestTrainModel:
         img = make_textured_image(34, 512, 512)
         grid = 512 // saak.BLOCK_SIZE - saak.BLOCK_SIZE + 1
         window_bytes = grid * grid * 496 * 8
-        tracemalloc.start()
-        try:
-            train_model(img)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(train_model, img)
         assert peak < 0.5 * window_bytes
 
     def test_peak_memory_at_1024_below_seven_images(self):
         # At 1024x1024 the peak is about 6x the image: stage 1's training
         # (its kept patches, up to 511**2 x 16 float64 or 4x the image, and
-        # the 16 MiB centring buffer), or stage 2's forward (the S/P grid,
-        # its block copy and the product, 2x the image each). Copying every
-        # window and a std temporary of that size made stage 1 8.5x.
+        # the 16 MiB centring buffer). Copying every window and a std
+        # temporary of that size made stage 1 8.5x.
         img = make_textured_image(38, 1024, 1024)
-        tracemalloc.start()
-        try:
-            train_model(img)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(train_model, img)
         assert peak < 7 * img.nbytes
+
+    def test_peak_memory_at_2048_below_five_and_a_half_images(self):
+        # At 2048x2048 the S/P conversion of stage 1's output (1x the
+        # image; the S/P grid, 2x, and the split's temporaries) sets the
+        # peak at 4.8x the image, with stage 1's training next. Holding the
+        # S/P grid while stage 2's forward copied its blocks and made its
+        # product (2x the image each) peaked at 5.9x.
+        img = make_textured_image(38, 2048, 2048)
+        peak, _ = traced_peak(train_model, img)
+        assert peak < 5.5 * img.nbytes
 
     def test_row_lag_peak_memory_bounded_by_centred_block(self, monkeypatch):
         # Row lags build the grid rows' horizontal windows in chunks of at
@@ -705,12 +701,7 @@ class TestTrainModel:
         windows = saak._windows(grid, saak.BLOCK_SIZE, 1)
         bound = 8 * 61 * 124
         monkeypatch.setattr(saak, "_CENTRED_BLOCK", bound)
-        tracemalloc.start()
-        try:
-            saak._centred_gram(windows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(saak._centred_gram, windows)
         assert peak < 8 * bound + 3 * grid.nbytes
 
     @at_each_blas_thread_count

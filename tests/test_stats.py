@@ -1,11 +1,10 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from conftest import (blas_threads, kendall_oracle, pearson_oracle, rank_oracle,
-                      tied_sample)
+                      tied_sample, traced_peak)
 
 from saakiqa import stats
 from saakiqa import (
@@ -210,12 +209,7 @@ class TestKendall:
         rng = np.random.default_rng(12)
         x = np.round(rng.normal(size=3000), 3)
         y = np.round(x + rng.normal(size=3000), 1)
-        tracemalloc.start()
-        try:
-            kendall_tau_b(x, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(kendall_tau_b, x, y)
         # Two n x n sign matrices alone would take 144 MB here.
         assert peak < 4e6
 
