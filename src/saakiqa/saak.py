@@ -150,20 +150,6 @@ def _as_features(t) -> np.ndarray:
     return f
 
 
-def _dc_complement_basis(d: int) -> np.ndarray:
-    """Orthonormal basis of the DC-orthogonal subspace, columns of (d, d-1).
-
-    Built from the Householder reflection mapping e0 to the DC direction, so
-    completeness and orthogonality hold to machine precision regardless of
-    covariance rank.
-    """
-    dc = np.full(d, 1.0 / np.sqrt(d))
-    v = dc.copy()
-    v[0] -= 1.0
-    basis = np.eye(d) - 2.0 * np.outer(v, v) / (v @ v)
-    return basis[:, 1:]
-
-
 def _fix_signs(kernels: np.ndarray) -> np.ndarray:
     """Force the largest-magnitude entry of each row positive (first on tie)."""
     idx = np.argmax(np.abs(kernels), axis=1)
@@ -286,13 +272,20 @@ def _row_lag_gram(grid: np.ndarray, mean: np.ndarray, bound: int) -> np.ndarray:
 def _kernels(cov: np.ndarray) -> SaakStage:
     """The stage of input-space covariance ``cov``, diagonalized as ``B.T @
     cov @ B`` with ``B`` the DC-complement basis: the covariance of the
-    projected samples in d³ work, not the n·d² of projecting every sample."""
+    projected samples in d³ work, not the n·d² of projecting every sample.
+
+    ``B`` is the last d-1 columns of the Householder reflection that maps
+    e0 to the DC kernel, so completeness and orthogonality hold to machine
+    precision whatever the covariance's rank."""
     d = cov.shape[0]
-    basis = _dc_complement_basis(d)
+    dc = np.full(d, 1.0 / np.sqrt(d))
+    v = dc.copy()
+    v[0] -= 1.0
+    basis = (np.eye(d) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
     evals, evecs = np.linalg.eigh(basis.T @ cov @ basis)
     order = np.argsort(-evals, kind="stable")
     ac = _fix_signs((basis @ evecs[:, order]).T)
-    kernels = np.vstack([np.full(d, 1.0 / np.sqrt(d)), ac])
+    kernels = np.vstack([dc, ac])
     return SaakStage(kernels=kernels, eigenvalues=np.maximum(evals[order], 0.0))
 
 
@@ -343,15 +336,16 @@ def sp_convert(features) -> np.ndarray:
 
     DC is copied through; each of the d-1 signed AC channels becomes a
     (positive part, negative part) pair, giving ``1 + 2*(d-1)`` channels,
-    all non-negative.
+    all non-negative. Each half is written straight into the output, so
+    nothing but the output is allocated.
     """
     f = _as_features(features)
     d = f.shape[2]
     out = np.empty(f.shape[:2] + (1 + 2 * (d - 1),), dtype=np.float64)
     out[..., 0] = f[..., 0]
-    ac = f[..., 1:]
-    out[..., 1::2] = np.maximum(ac, 0.0)
-    out[..., 2::2] = np.maximum(-ac, 0.0)
+    ac, neg = f[..., 1:], out[..., 2::2]
+    np.maximum(ac, 0.0, out=out[..., 1::2])
+    np.maximum(np.negative(ac, out=neg), 0.0, out=neg)
     return out
 
 

@@ -334,6 +334,17 @@ class TestSpPsConversion:
         assert np.array_equal(pos * neg, np.zeros_like(pos))
         assert np.array_equal(ps_convert(split), t)
 
+    def test_peak_memory_is_its_output(self):
+        # Both halves are written into the output, so the split allocates
+        # nothing else; making each half as a temporary first peaked at
+        # 1.97x the output. The input is only read.
+        t = np.random.default_rng(12).normal(0, 100, (256, 256, 16))
+        before = t.copy()
+        out_bytes = sp_convert(t).nbytes
+        peak, _ = traced_peak(sp_convert, t)
+        assert peak <= 1.1 * out_bytes
+        assert np.array_equal(t, before)
+
 
 class TestForwardStage:
     def test_constant_image(self):
@@ -425,10 +436,11 @@ class TestFullTransform:
     def test_peak_memory_below_three_outputs(self):
         # forward_stage frees its input once its blocks are copied, and
         # forward holds no grid it has handed on, so at 512x512 stage 2's
-        # product (4 MB) overlaps only its copied blocks. The peak, 2.5x
-        # the output, is the S/P conversion: stage 1's output (2 MB), the
-        # 4 MB S/P grid and the split's temporaries. Holding the S/P grid
-        # as well during stage 2's product made it 3x.
+        # product (4 MB) overlaps only its copied blocks: that is the
+        # peak, 2.0x the output. The S/P conversion, stage 1's output
+        # (2 MB) and the 4 MB S/P grid, allocates nothing else; its split
+        # made temporaries at 2.5x. Holding the S/P grid as well during
+        # stage 2's product made it 3x.
         img = make_textured_image(37, 512, 512)
         model = train_model(img)[0]
         out_bytes = forward(img, model).nbytes
@@ -682,11 +694,12 @@ class TestTrainModel:
         assert peak < 7 * img.nbytes
 
     def test_peak_memory_at_2048_below_five_and_a_half_images(self):
-        # At 2048x2048 the S/P conversion of stage 1's output (1x the
-        # image; the S/P grid, 2x, and the split's temporaries) sets the
-        # peak at 4.8x the image, with stage 1's training next. Holding the
-        # S/P grid while stage 2's forward copied its blocks and made its
-        # product (2x the image each) peaked at 5.9x.
+        # At 2048x2048 stage 1's patch sampling (its kept patches are 3x
+        # the image) sets the peak at 4.5x the image, with stage 1's
+        # training next. The S/P conversion of stage 1's output (1x the
+        # image; the S/P grid, 2x) set it at 4.8x while the split made
+        # temporaries. Holding the S/P grid while stage 2's forward copied
+        # its blocks and made its product (2x the image each) peaked at 5.9x.
         img = make_textured_image(38, 2048, 2048)
         peak, _ = traced_peak(train_model, img)
         assert peak < 5.5 * img.nbytes
