@@ -10,13 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saakiqa import gaussian_filter, harness
-from saakiqa._workers import _BLAS_THREAD_VARS
+from saakiqa import _workers, gaussian_filter
 
 ROOT = Path(__file__).resolve().parents[1]
 # Workers a forced pool starts: one per CPU the library may use, up to its
 # cap. No test starts more worker processes.
-POOL = min(harness._MAX_WORKERS, harness._usable_cpus())
+POOL = min(_workers._MAX_WORKERS, _workers._usable_cpus())
 
 
 @functools.cache
@@ -73,19 +72,19 @@ def at_each_blas_thread_count(test):
     return run
 
 
-def run_python(*argv, one_blas_thread=False, timeout=300):
+def run_python(*argv, blas_thread_count=None, timeout=300):
     """Run ``python *argv`` in a fresh interpreter at the checkout root.
 
     The child imports from ``src`` and ``tests``. Its BLAS runs the
-    library's default thread count, or one thread when ``one_blas_thread``
-    sets the environment variables numpy's BLAS reads when it loads, as a
-    scoring worker's are; in-process, ``blas_threads`` sets the count. A
-    child still running after ``timeout`` seconds is killed and fails the
-    test.
+    library's default thread count, or ``blas_thread_count`` threads when
+    that is given: it sets the environment variables numpy's BLAS reads
+    when it loads, as a scoring worker's are set to 1; in-process,
+    ``blas_threads`` sets the count. A child still running after
+    ``timeout`` seconds is killed and fails the test.
     """
-    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
-    if one_blas_thread:
-        env.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    env = {k: v for k, v in os.environ.items() if k not in _workers._BLAS_THREAD_VARS}
+    if blas_thread_count is not None:
+        env.update(dict.fromkeys(_workers._BLAS_THREAD_VARS, str(blas_thread_count)))
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
     return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=timeout)

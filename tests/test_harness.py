@@ -27,8 +27,8 @@ from saakiqa import (
     synth_distort,
     write_pgm,
 )
-from saakiqa import harness, saak
-from conftest import POOL, blas_threads, make_textured_image
+from saakiqa import _workers, harness, saak
+from conftest import POOL, blas_threads, make_textured_image, run_python
 
 QSTEPS = (2.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
@@ -37,7 +37,7 @@ def _run_eval(records, workers, **kwargs):
     """run_eval on up to ``workers`` worker processes. With 0 every row is
     scored on the calling thread, the only place a monkeypatch reaches."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_worker_count", lambda sizes: min(len(sizes), workers))
+        mp.setattr(_workers, "_worker_count", lambda sizes: min(len(sizes), workers))
         return run_eval(records, **kwargs)
 
 
@@ -528,6 +528,44 @@ class TestContract:
             assert got == pytest.approx(expected, rel=1e-9)
 
 
+def _cli_report(manifest, blas_thread_count=None):
+    """The JSON report of ``saakiqa eval`` on ``manifest`` in a fresh
+    interpreter, as parsed records and as text without ``generated_at``."""
+    out = manifest.with_suffix(".json")
+    run_python("-m", "saakiqa.cli", "eval", "--manifest", str(manifest), "--out", str(out),
+               blas_thread_count=blas_thread_count).check_returncode()
+    text = out.read_text(encoding="utf-8")
+    stable = "".join(line for line in text.splitlines(keepends=True)
+                     if not line.startswith('  "generated_at": '))
+    return json.loads(stable), stable
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP items 3, 5 and 16: the fit moves with row order, and the "
+    "scores with the BLAS thread count"))
+def test_eval_gives_one_report_per_manifest(tmp_path):
+    # The north star's promise, checked as a user would: the same manifest
+    # gives the same report bytes whatever the BLAS thread count, and the
+    # same stable keys, record by record, whatever the row order. A run
+    # that fails to produce a report errors instead of failing an assert.
+    moved = []
+    for size, seeds in CONTRACT_SEEDS.items():
+        tmp = tmp_path / str(size)
+        tmp.mkdir()
+        manifest = _write_golden_batch(tmp, seeds, size)
+        header, *rows = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+        backwards = tmp / "reversed.csv"
+        backwards.write_text("".join([header, *rows[::-1]]), encoding="utf-8")
+        (_, one), (report, two) = (_cli_report(manifest, n) for n in (1, 2))
+        if one != two:
+            moved.append(f"{size}x{size}: BLAS threads")
+        reverse, _ = _cli_report(backwards, 2)
+        reverse["records"].reverse()
+        if reverse != report:
+            moved.append(f"{size}x{size}: row order")
+    assert moved == []
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("sizes, workers", [
         ([1] * 40, 2),    # 40 references of one row: the pool wins
@@ -539,12 +577,12 @@ class TestWorkerCount:
         ([1], 0),
     ])
     def test_pool_only_where_the_cost_model_says_it_wins(self, monkeypatch, sizes, workers):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
-        assert harness._worker_count(sizes) == workers
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 64)
+        assert _workers._worker_count(sizes) == workers
 
     def test_one_usable_cpu_scores_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-        assert harness._worker_count([1] * 40) == 0
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+        assert _workers._worker_count([1] * 40) == 0
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs an affinity mask")
     @pytest.mark.parametrize("files, quota", [
@@ -560,7 +598,7 @@ class TestWorkerCount:
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         affinity = len(os.sched_getaffinity(0))
-        assert harness._usable_cpus(str(tmp_path)) == min(affinity, quota or affinity)
+        assert _workers._usable_cpus(str(tmp_path)) == min(affinity, quota or affinity)
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs an affinity mask")
     @pytest.mark.parametrize("membership, files, quota", [
@@ -584,7 +622,7 @@ class TestWorkerCount:
         if membership is not None:
             (tmp_path / "membership").write_text(membership)
         affinity = len(os.sched_getaffinity(0))
-        got = harness._usable_cpus(str(root), str(tmp_path / "membership"))
+        got = _workers._usable_cpus(str(root), str(tmp_path / "membership"))
         assert got == min(affinity, quota)
 
 

@@ -61,7 +61,7 @@ def test_blas_threads_gives_a_one_thread_interpreters_bits():
     assert get() == before
     run = run_python(
         "-c", "from test_package import _reference_bits; print(_reference_bits())",
-        one_blas_thread=True)
+        blas_thread_count=1)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == pinned
 
@@ -158,6 +158,20 @@ def test_covariance_and_kernels_have_one_owner_each():
     # covariance becomes kernels, so a change to one half edits one function.
     assert _package_readers("_CENTRED_BLOCK") == {"saak._centred_gram"}
     assert _package_readers("eigh") == {"saak._kernels"}
+
+
+def test_scoring_pool_has_one_owner():
+    # _workers decides how many workers a batch gets, starts them and stops
+    # them: the usable CPUs, the cost model and the workers' BLAS thread
+    # variables are read only there, so a change to the pool edits one
+    # module. harness imports it only inside run_eval, since an import at
+    # the top would make runpy warn in every worker it starts.
+    for name in ("sched_getaffinity", "_ROW_AND_START_COSTS", "_WORKER_SLOWDOWN",
+                 "_MAX_WORKERS", "_BLAS_THREAD_VARS"):
+        owners = _package_readers(name)
+        assert owners and {owner.partition(".")[0] for owner in owners} == {"_workers"}, name
+    assert _package_owners(lambda node: isinstance(node, ast.ImportFrom) and any(
+        alias.name == "_workers" for alias in node.names)) == ["harness.run_eval"]
 
 
 def test_stats_sums_products_in_one_place():

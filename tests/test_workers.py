@@ -15,7 +15,7 @@ from conftest import POOL, ROOT, make_textured_image, run_python
 from saakiqa import synth_distort, write_pgm
 
 # Each caller forces the pool: up to POOL workers, one per group.
-_POOLED = f"harness._worker_count = lambda sizes: min(len(sizes), {POOL})\n"
+_POOLED = f"_workers._worker_count = lambda sizes: min(len(sizes), {POOL})\n"
 
 
 def _write_batch(tmp_path, refs=(0, 1)):
@@ -37,7 +37,7 @@ def _run(tmp_path, body, *args):
     script.write_text("import os, sys\n" + body)
     run = run_python(str(script), *map(str, args), timeout=120)
     assert run.returncode == 0, run.stderr
-    return run.stdout
+    return run
 
 
 def test_workers_run_one_blas_thread_on_the_callers_source(tmp_path):
@@ -49,7 +49,7 @@ def test_workers_run_one_blas_thread_on_the_callers_source(tmp_path):
     body = (
         "sys.path.insert(0, sys.argv[1])\n"
         "import json, saakiqa\n"
-        "from saakiqa import _workers, harness, parse_manifest, run_eval\n"
+        "from saakiqa import _workers, parse_manifest, run_eval\n"
         + _POOLED +
         "before = dict(os.environ)\n"
         "report = run_eval(parse_manifest(sys.argv[2]))\n"
@@ -61,7 +61,10 @@ def test_workers_run_one_blas_thread_on_the_callers_source(tmp_path):
         "                  'workers': _workers.map(eval, [(probe, {})] * n, n),\n"
         "                  'environ_unchanged': dict(os.environ) == before,\n"
         "                  'scored': [r.ok for r in report.results]}))\n")
-    out = json.loads(_run(tmp_path, body, tmp_path / "copy", _write_batch(tmp_path)))
+    run = _run(tmp_path, body, tmp_path / "copy", _write_batch(tmp_path))
+    # Nothing warns, in the caller or in its workers, which share its stderr.
+    assert run.stderr == ""
+    out = json.loads(run.stdout)
     assert out["caller"] == str(tmp_path / "copy" / "saakiqa" / "__init__.py")
     assert out["scored"] == [True] * 4
     assert out["environ_unchanged"]
@@ -86,7 +89,7 @@ def test_killed_worker_makes_run_eval_raise(tmp_path):
         "codec\n", "codec\n" + "ref0.pgm,d1_8.pgm,1.0,jpeg\n" * 3, 1))
     body = (
         "import signal, threading\n"
-        "from saakiqa import _workers, harness, parse_manifest, run_eval\n"
+        "from saakiqa import _workers, parse_manifest, run_eval\n"
         + _POOLED +
         "def kill_blocked_worker():\n"
         "    with open(sys.argv[2], 'wb'):\n"
@@ -102,11 +105,31 @@ def test_killed_worker_makes_run_eval_raise(tmp_path):
         "os.kill(idle.pid, signal.SIGKILL)\n"
         "idle.wait()\n"
         "print([r.ok for r in run_eval(records[3:]).results])\n")
-    out = _run(tmp_path, body, manifest, tmp_path / "ref0.pgm").splitlines()
+    out = _run(tmp_path, body, manifest, tmp_path / "ref0.pgm").stdout.splitlines()
     assert out[0].startswith("scoring worker process ")
     assert out[0].endswith(" exited with code -9 mid-batch")
     # The next call starts new workers, and replaces one killed between calls.
     assert out[1:] == [str([True] * 4)] * 2
+
+
+def test_worker_that_stopped_reading_makes_map_raise(tmp_path):
+    # A worker that has closed its stdin but not yet exited breaks the pipe
+    # under the next call, which stays in the caller's buffer. Stopping the
+    # workers must still raise the worker's exit, not the broken pipe.
+    body = (
+        "from saakiqa import _workers\n"
+        "code = ('import os, threading, time; os.close(0); '\n"
+        "        'threading.Thread(target=time.sleep, args=(1,)).start()')\n"
+        "_workers.map(exec, [(code, {})], 1)\n"
+        "try:\n"
+        "    _workers.map(eval, [('1', {})], 1)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "print(_workers.map(eval, [('1 + 1', {})], 1))\n")
+    out = _run(tmp_path, body).stdout.splitlines()
+    assert out[0].startswith("scoring worker process ")
+    assert out[0].endswith(" exited with code 1 mid-batch")
+    assert out[1:] == ["[2]"]
 
 
 def test_worker_errors_match_the_calling_thread(tmp_path):
@@ -115,18 +138,18 @@ def test_worker_errors_match_the_calling_thread(tmp_path):
     # test_harness.py::TestReferenceGrouping.
     body = (
         "import json\n"
-        "from saakiqa import EvalRecord, harness, run_eval\n"
+        "from saakiqa import EvalRecord, _workers, run_eval\n"
         + _POOLED +
         "bad = [EvalRecord(None, 'd.pgm', 1.0, 'jpeg'), EvalRecord('r.pgm', 'd.pgm', 1.0, 'jpeg')]\n"
         "raised = []\n"
-        "for count in (harness._worker_count, lambda sizes: 0):\n"
-        "    harness._worker_count = count\n"
+        "for count in (_workers._worker_count, lambda sizes: 0):\n"
+        "    _workers._worker_count = count\n"
         "    try:\n"
         "        run_eval(bad)\n"
         "    except TypeError as exc:\n"
         "        raised.append([str(exc), str(exc.__cause__)])\n"
         "print(json.dumps(raised))\n")
-    (pooled, cause), (inline, _) = json.loads(_run(tmp_path, body))
+    (pooled, cause), (inline, _) = json.loads(_run(tmp_path, body).stdout)
     assert pooled == inline
     assert pooled.startswith("expected str, bytes or os.PathLike object")
     # The worker's traceback rides along as the cause.
@@ -148,7 +171,7 @@ def test_unpicklable_worker_error_reaches_the_caller(tmp_path):
         "    except RuntimeError as exc:\n"
         "        print(exc, '|', str(exc.__cause__).splitlines()[-1])\n"
         "print(_workers.map(eval, [('1 + 1', {})], 1))\n")
-    assert _run(tmp_path, body).splitlines() == [
+    assert _run(tmp_path, body).stdout.splitlines() == [
         "Local('boom') | Local: boom",
         "SAXParseException('boom') | xml.sax._exceptions.SAXParseException: <unknown>:-1:-1: boom",
         "[2]"]
@@ -169,6 +192,6 @@ def test_forked_child_starts_its_own_workers(tmp_path):
         "    os._exit(0)\n"
         "os.waitpid(child, 0)\n"
         "print(json.dumps([before, _workers.map(eval, probe, 1)]))\n")
-    in_child, (before, after) = map(json.loads, _run(tmp_path, body).splitlines())
+    in_child, (before, after) = map(json.loads, _run(tmp_path, body).stdout.splitlines())
     assert before == after
     assert in_child != before
