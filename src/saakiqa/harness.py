@@ -123,34 +123,37 @@ def parse_manifest(path) -> list[EvalRecord]:
     records = []
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        rows = (row for row in reader if any(c.strip() for c in row))
-        header = next(rows, None)
-        if header and tuple(c.strip().lower() for c in header) != _MANIFEST_HEADER:
-            raise MalformedRowError(
-                f"line {reader.line_num}: expected header {','.join(_MANIFEST_HEADER)}")
-        for row in rows:
-            if len(row) != 4:
+        try:
+            rows = (row for row in reader if any(c.strip() for c in row))
+            header = next(rows, None)
+            if header and tuple(c.strip().lower() for c in header) != _MANIFEST_HEADER:
                 raise MalformedRowError(
-                    f"line {reader.line_num}: expected 4 columns, got {len(row)}")
-            ref, dist, mos_s, codec = (c.strip() for c in row)
-            if not ref or not dist:
-                raise MalformedRowError(f"line {reader.line_num}: empty image path")
-            try:
-                mos = float(mos_s)
-            except ValueError:
-                raise MalformedRowError(
-                    f"line {reader.line_num}: unparsable mos {mos_s!r}") from None
-            if not math.isfinite(mos):
-                raise MalformedRowError(f"line {reader.line_num}: non-finite mos")
-            codec = codec.lower()
-            if codec not in CODEC_LAMBDAS:
-                codec = "other"
-            records.append(EvalRecord(
-                ref_path=os.path.join(base, ref),
-                dist_path=os.path.join(base, dist),
-                mos=mos,
-                codec=codec,
-            ))
+                    f"line {reader.line_num}: expected header {','.join(_MANIFEST_HEADER)}")
+            for row in rows:
+                if len(row) != 4:
+                    raise MalformedRowError(
+                        f"line {reader.line_num}: expected 4 columns, got {len(row)}")
+                ref, dist, mos_s, codec = (c.strip() for c in row)
+                if not ref or not dist:
+                    raise MalformedRowError(f"line {reader.line_num}: empty image path")
+                try:
+                    mos = float(mos_s)
+                except ValueError:
+                    raise MalformedRowError(
+                        f"line {reader.line_num}: unparsable mos {mos_s!r}") from None
+                if not math.isfinite(mos):
+                    raise MalformedRowError(f"line {reader.line_num}: non-finite mos")
+                codec = codec.lower()
+                if codec not in CODEC_LAMBDAS:
+                    codec = "other"
+                records.append(EvalRecord(
+                    ref_path=os.path.join(base, ref),
+                    dist_path=os.path.join(base, dist),
+                    mos=mos,
+                    codec=codec,
+                ))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise MalformedRowError(f"line {reader.line_num}: {exc}") from None
     return records
 
 

@@ -96,18 +96,14 @@ def extract_training_patches(img, block: int, stride: int) -> np.ndarray:
     """
     wins = _windows(as_image(img)[:, :, np.newaxis], block, stride)
     rows, cols, d = wins.shape[0], wins.shape[1], block * block
-    # The mask is decided over chunks of about 4096 windows, each copied
-    # into one reused buffer as (k, d) rows: a row's std is the same
-    # reduction over the same d values as in one (n, d) matrix, so the kept
-    # set is the same, and no copy or std temporary of every window is made.
+    # The mask is decided over bands of about 4096 windows, each copied as
+    # (k, d) rows: a row's std is the same reduction over the same d values
+    # as in one (n, d) matrix, so the kept set is the same, and no copy or
+    # std temporary of every window is made.
     step = max(1, 4096 // cols)
-    keep = np.empty((rows, cols), dtype=bool)
-    buf = np.empty((min(step, rows),) + wins.shape[1:])
-    for start in range(0, rows, step):
-        chunk = buf[:min(step, rows - start)]
-        np.copyto(chunk, wins[start:start + step])
-        std = chunk.reshape(-1, d).std(axis=1)
-        keep[start:start + step] = (std > STD_THRESHOLD).reshape(-1, cols)
+    keep = np.concatenate([
+        np.ascontiguousarray(wins[s:s + step]).reshape(-1, d).std(axis=1) > STD_THRESHOLD
+        for s in range(0, rows, step)]).reshape(rows, cols)
     if not keep.any():
         raise NoTrainingSamplesError(
             f"no patch has standard deviation > {STD_THRESHOLD}")

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -205,6 +206,15 @@ class TestEval:
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
         assert cli_main(["eval", "--manifest", str(tmp_path / "no.csv")]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_field_over_csv_limit_is_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("ref,dist,mos,codec\n"
+                            f"{'r' * (csv.field_size_limit() + 1)}.pgm,d.pgm,1.0,jpeg\n")
+        assert cli_main(["eval", "--manifest", str(manifest)]) == 2
+        assert capsys.readouterr().err == (
+            f"saakiqa: error: line 2: field larger than field limit "
+            f"({csv.field_size_limit()})\n")
 
     def test_unknown_subcommand_is_usage_error(self):
         assert cli_main(["frobnicate"]) == 1

@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import math
@@ -117,6 +118,16 @@ class TestParseManifest:
         p = tmp_path / "m.csv"
         p.write_text("ref,dist,mos,codec\na.pgm,b.pgm,1.5\n")
         with pytest.raises(MalformedRowError, match="line 2"):
+            parse_manifest(p)
+
+    def test_field_over_csv_limit_names_line(self, tmp_path):
+        # The csv module refuses such a field from its row iterator.
+        limit = csv.field_size_limit()
+        p = tmp_path / "m.csv"
+        p.write_text("ref,dist,mos,codec\na.pgm,b.pgm,1.5,jpeg\n"
+                     f"a.pgm,{'b' * (limit + 1)}.pgm,1.5,jpeg\n")
+        with pytest.raises(MalformedRowError,
+                           match=rf"^line 3: field larger than field limit \({limit}\)$"):
             parse_manifest(p)
 
     def test_bad_header(self, tmp_path):

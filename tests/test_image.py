@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import make_textured_image, traced_peak
 
 from saakiqa import (
     ImageTooSmallError,
@@ -362,6 +362,13 @@ class TestGaussianFilter:
 
         peak, _ = traced_peak(refused)
         assert peak < 1 << 20
+
+    def test_peak_memory_is_padded_copy_output_and_band(self):
+        # One padded copy, the output, one band accumulator and one tap's
+        # product at a time: 2.08 times a 1024x1024 image.
+        img = make_textured_image(36, 1024, 1024)
+        peak, _ = traced_peak(gaussian_filter, img, 1.0)
+        assert peak <= 2.2 * img.nbytes
 
     def test_row_mean_preserved_for_constant_columns(self):
         # Columns constant: vertical pass is exact; horizontal reflection

@@ -107,15 +107,24 @@ class TestExtractTrainingPatches:
                                match=r"^no patch has standard deviation > 2\.0$"):
                 extract_training_patches(np.full((size, size), 77.0), 4, 1)
 
-    @pytest.mark.parametrize("case", ["512x512", "1000x72-ragged", "near-threshold"])
-    def test_chunked_selection_matches_one_shot_oracle(self, case):
-        # The mask is decided over chunks of about 4096 windows: 16 chunks
-        # of 16 window rows at 512x512, 117-row chunks and a last one of 31
-        # for 1000x72's 499 x 35 windows, 4 chunks for 256x256. A +-2
-        # checkerboard about 0.7, each pixel moved by up to 3 ulp, puts
-        # every patch's std within a few ulp of STD_THRESHOLD, most of them
-        # on it: a std summed in another order, or the variance compared
-        # with 4, decides thousands of these patches the other way.
+    @pytest.mark.parametrize("case, block, stride", [
+        pytest.param("512x512", 4, 2, id="512x512"),
+        pytest.param("1000x72-ragged", 4, 2, id="1000x72-ragged"),
+        pytest.param("1000x72-ragged", 2, 1, id="1000x72-ragged-block2-stride1"),
+        pytest.param("1000x72-ragged", 3, 2, id="1000x72-ragged-block3-stride2"),
+        pytest.param("near-threshold", 4, 2, id="near-threshold"),
+    ])
+    def test_chunked_selection_matches_one_shot_oracle(self, case, block, stride):
+        # The mask is decided over bands of about 4096 windows: 16 bands
+        # of 16 window rows at 512x512, 117-row bands and a last one of 31
+        # for 1000x72's 499 x 35 windows, 4 bands for 256x256. At block 2,
+        # stride 1, 1000x72's 999 x 71 windows take 57-row bands and a last
+        # one of 30; at block 3, stride 2, its 499 x 35 windows take the
+        # same bands as block 4. A +-2 checkerboard about 0.7, each pixel
+        # moved by up to 3 ulp, puts every patch's std within a few ulp of
+        # STD_THRESHOLD, most of them on it: a std summed in another order,
+        # or the variance compared with 4, decides thousands of these
+        # patches the other way.
         if case == "near-threshold":
             rng = np.random.default_rng(36)
             checker = np.indices((256, 256)).sum(axis=0) % 2 * 2.0 - 1.0
@@ -124,13 +133,14 @@ class TestExtractTrainingPatches:
         else:
             h, w = (512, 512) if case == "512x512" else (1000, 72)
             img = make_textured_image(36, h, w)
-        v = sliding_window_view(img, (4, 4))[::2, ::2].reshape(-1, 16)
+        v = sliding_window_view(img, (block, block))[::stride, ::stride]
+        v = v.reshape(-1, block * block)
         std = v.std(axis=1)
         assert v.shape[0] > 3 * 4096
         if case == "near-threshold":
             assert np.abs(std - saak.STD_THRESHOLD).max() < 1e-14
-            assert 0 < np.count_nonzero(std > saak.STD_THRESHOLD) < v.shape[0]
-        got = extract_training_patches(img, 4, 2)
+        assert 0 < np.count_nonzero(std > saak.STD_THRESHOLD) < v.shape[0]
+        got = extract_training_patches(img, block, stride)
         want = v[std > saak.STD_THRESHOLD]
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -157,6 +167,15 @@ class TestExtractTrainingPatches:
         img = np.arange(25, dtype=np.float64).reshape(5, 5)
         patches = extract_training_patches(img, 2, 1)
         np.testing.assert_array_equal(patches[0], [0, 1, 5, 6])
+
+    def test_peak_memory_is_output_plus_one_image(self):
+        # Each band of windows is copied and reduced alone, so beyond the
+        # kept patches the peak holds less than one image's worth of bands
+        # and masks (at 1024x1024: 33.4 MB of patches, an 8.4 MB image).
+        img = make_textured_image(36, 1024, 1024)
+        patches = extract_training_patches(img, 4, 2)
+        peak, _ = traced_peak(extract_training_patches, img, 4, 2)
+        assert peak <= patches.nbytes + img.nbytes
 
 
 class TestTrainStage:
