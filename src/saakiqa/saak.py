@@ -464,6 +464,9 @@ def train_model(ref) -> tuple[tuple[SaakStage, ...], np.ndarray]:
     del ref
     for _ in range(1, NUM_STAGES):
         grid.append(sp_convert(forward_stage(grid.pop(), stages[-1])))
+        if grid[0].shape[:2] == (BLOCK_SIZE, BLOCK_SIZE):
+            raise ImageTooSmallError(
+                f"grid {BLOCK_SIZE}x{BLOCK_SIZE} gives one stage-2 window, need at least 2")
         stages.append(train_stage(_windows(grid[0], BLOCK_SIZE, 1),
                                   input_channels=grid[0].shape[2]))
     return tuple(stages), forward_stage(grid.pop(), stages[-1])

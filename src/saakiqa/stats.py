@@ -28,8 +28,6 @@ _NM_RHO = 0.5
 _NM_SIGMA = 0.5
 _NM_SPREAD_TOL = 1e-10
 _NM_MAX_ITER = 20000
-# Logistic argument beyond which the sigmoid term is fully saturated.
-_LOGISTIC_CLIP = 500.0
 # Fewest paired points a logistic fit accepts.
 MIN_REGRESSION_N = 10
 
@@ -197,9 +195,9 @@ class LogisticFit:
 def logistic5_eval(beta, x):
     """Evaluate the 5-parameter logistic regression curve.
 
-    q(x) = b1 * (1/2 - 1/(1 + exp(b2*(x - b3)))) + b4*x + b5, with the
-    sigmoid argument clipped to +-500 so the term saturates to +-b1/2
-    instead of overflowing. Accepts scalars or arrays.
+    q(x) = b1 * (1/2 - 1/(1 + exp(b2*(x - b3)))) + b4*x + b5. The sigmoid
+    term is exactly +-b1/2 once |b2*(x - b3)| exceeds about 38, overflow of
+    the argument or of ``exp`` included. Accepts scalars or arrays.
     """
     b1, b2, b3, b4, b5 = np.asarray(beta, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -209,14 +207,15 @@ def logistic5_eval(beta, x):
 
 
 def _sigmoid(b2, b3, x, t, out):
-    """Write the curve's centred sigmoid 1/2 - 1/(1 + exp(b2*(x - b3))),
-    clipped, into ``out`` and return it. ``t`` is contiguous scratch shaped
-    like ``x``, so ``exp`` runs on contiguous data whatever the stride of
+    """Write the curve's centred sigmoid 1/2 - 1/(1 + exp(b2*(x - b3)))
+    into ``out`` and return it. ``t`` is contiguous scratch shaped like
+    ``x``, so ``exp`` runs on contiguous data whatever the stride of
     ``out``; it may be ``out``."""
-    np.subtract(x, b3, out=t)
-    np.multiply(b2, t, out=t)
-    np.clip(t, -_LOGISTIC_CLIP, _LOGISTIC_CLIP, out=t)
-    np.exp(t, out=t)
+    # Overflow to +-inf gives the value saturation already gives: +-1/2.
+    with np.errstate(over="ignore"):
+        np.subtract(x, b3, out=t)
+        np.multiply(b2, t, out=t)
+        np.exp(t, out=t)
     np.add(1.0, t, out=t)
     np.divide(1.0, t, out=t)
     return np.subtract(0.5, t, out=out)

@@ -77,6 +77,13 @@ class TestScore:
                 assert "argument --lambda: lam must be in [0, 1]" in err
                 assert "Traceback" not in err
 
+    def test_reference_too_small_for_stage2_is_data_error(self, tmp_path, capsys):
+        path = str(tmp_path / "small.pgm")
+        write_pgm(make_textured_image(82, 16, 16), path)
+        assert cli_main(["score", "--ref", path, "--dist", path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("saakiqa: error: grid 4x4")
+
     def test_missing_image_is_data_error(self, tmp_path, capsys):
         assert cli_main(["score", "--ref", str(tmp_path / "no.pgm"),
                          "--dist", str(tmp_path / "no.pgm")]) == 2

@@ -8,6 +8,7 @@ from saakiqa import (
     DegenerateInputError,
     DimensionMismatchError,
     GeometryMismatchError,
+    ImageTooSmallError,
     QualityConfig,
     SaakIqaError,
     assess,
@@ -318,6 +319,14 @@ class TestAssess:
                 QualityConfig.for_codec("jpeg", bad)
         with pytest.raises(TypeError):
             QualityConfig.for_codec("jpeg2000", sigma=2.0)
+
+    def test_reference_cropping_to_one_tile_is_too_small(self, textured_image):
+        for shape in ((20, 20), (16, 31)):
+            img = textured_image(29, *shape)
+            with pytest.raises(ImageTooSmallError, match="stage-2 window"):
+                prepare_reference(img)
+            with pytest.raises(ImageTooSmallError, match="stage-2 window"):
+                assess(img, img)
 
     def test_crops_unaligned_inputs(self, textured_image):
         img = textured_image(31, 70, 67)

@@ -619,6 +619,15 @@ class TestTrainModel:
         with pytest.raises(ImageTooSmallError):
             train_model(img)
 
+    def test_one_stage2_window_is_too_small(self, textured_image):
+        # A 16x16 reference leaves a 4x4 stage-1 grid, one stage-2 window;
+        # the two narrowest references above it still train.
+        with pytest.raises(ImageTooSmallError, match="grid 4x4"):
+            train_model(textured_image(28, 16, 16))
+        for shape in ((16, 32), (32, 16)):
+            features = train_model(textured_image(28, *shape))[1]
+            assert features.shape == (shape[0] // 16, shape[1] // 16, 496)
+
     @at_each_blas_thread_count
     def test_stage2_matches_window_matrix_oracle(self):
         # Oracle: channel-major centring of the contiguous window matrix

@@ -263,11 +263,16 @@ class TestPsnr:
             peak - 20 * (np.log10(3.4) + 308), rel=1e-12)
 
 
+# The oracles clip the sigmoid argument to +-500, where it is long saturated;
+# the package does not, and must give the same bits.
+_ORACLE_CLIP = 500.0
+
+
 def _reference_logistic5_eval(beta, x):
     """The curve as a fresh-array formula, without :func:`stats._sigmoid`."""
     b1, b2, b3, b4, b5 = np.asarray(beta, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    t = np.clip(b2 * (x - b3), -stats._LOGISTIC_CLIP, stats._LOGISTIC_CLIP)
+    t = np.clip(b2 * (x - b3), -_ORACLE_CLIP, _ORACLE_CLIP)
     q = b1 * (0.5 - 1.0 / (1.0 + np.exp(t))) + b4 * x + b5
     return float(q) if q.ndim == 0 else q
 
@@ -333,7 +338,7 @@ def _reference_logistic5_fit(scores, mos):
     ones = np.ones_like(x)
 
     def profile(nl):
-        t = np.clip(nl[0] * (x - nl[1]), -stats._LOGISTIC_CLIP, stats._LOGISTIC_CLIP)
+        t = np.clip(nl[0] * (x - nl[1]), -_ORACLE_CLIP, _ORACLE_CLIP)
         design = np.column_stack([0.5 - 1.0 / (1.0 + np.exp(t)), x, ones])
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         r = design @ coef - y
@@ -454,6 +459,19 @@ class TestLogisticEval:
         beta = [2.0, 1.0, 0.0, 0.0, 0.0]
         assert logistic5_eval(beta, 1e9) == pytest.approx(1.0)
         assert logistic5_eval(beta, -1e9) == pytest.approx(-1.0)
+
+    def test_overflowing_argument_saturates_without_warning(self):
+        # b2 * (x - b3), or its exp, overflows to +-inf: the sigmoid term is
+        # exactly +-b1/2, as it is from |b2 * (x - b3)| of about 38 on.
+        x = np.array([-1e10, -1.0, 1.0, 1e10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b2 in (1e300, -1e300):
+                got = logistic5_eval([3.0, b2, 0.0, 0.0, 0.0], x)
+                assert got.tolist() == (np.sign(b2) * np.sign(x) * 1.5).tolist()
+            assert logistic5_eval([1.0, 1e300, 0.0, 0.0, 0.0], 1e10) == 0.5
+            assert logistic5_eval([1.0, 2.0, -1.7e308, 0.0, 0.0], 1.7e308) == 0.5
+            assert logistic5_eval([1.0, 1e300, 0.0, 0.0, 0.0], -1e10) == -0.5
 
     def test_no_overflow_warning(self):
         with np.errstate(over="raise"):
